@@ -289,8 +289,7 @@ sim::SweepItem make_item(const BenchConfig& cfg, std::size_t n_links,
                            : sim::PlacementMode::kUniform;
   item.gen.pattern = cfg.pattern == "ap" ? sim::LinkPattern::kApDownlink
                                          : sim::LinkPattern::kPeerPairs;
-  // Heterogeneous antenna mix biased toward small radios (the same mix the
-  // scale_topologies sweep pinned).
+  // Heterogeneous antenna mix biased toward small radios.
   item.gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
   item.gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
   item.world.lazy_channels = cfg.lazy_channels;
@@ -498,8 +497,12 @@ int run_bench(int argc, char** argv) {
     std::string tj = "{\"name\": \"" + util::json_escape(cfg.name) + "\"";
     tj += ", \"wall_s\": " + util::json_double(sweep_wall_s);
     tj += ", \"sessions\": " + std::to_string(outcome.results.size()) + "}\n";
-    std::fwrite(tj.data(), 1, tj.size(), tf);
-    std::fclose(tf);
+    const bool timing_wrote =
+        std::fwrite(tj.data(), 1, tj.size(), tf) == tj.size();
+    if (std::fclose(tf) != 0 || !timing_wrote) {
+      std::fprintf(stderr, "short write to %s\n", timing_opt->c_str());
+      return 1;
+    }
   }
   std::printf("sweep wall clock: %.2f s\n", sweep_wall_s);
 

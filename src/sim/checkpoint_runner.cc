@@ -184,14 +184,10 @@ SweepOutcome CheckpointedRunner::run() {
   out.results.resize(n);
   out.completed.assign(n, 0);
 
-  // The determinism anchor: the same fork-before-dispatch table
-  // ThreadPool::run_seeded builds, saved in immutable form so each attempt
-  // of an item (retry or resume) restores a pristine copy of its stream.
-  std::vector<util::Rng::State> table(n);
-  {
-    util::Rng master(seed_);
-    for (std::size_t i = 0; i < n; ++i) table[i] = master.fork(i + 1).save();
-  }
+  // The determinism anchor: the fork-before-dispatch stream table, saved
+  // in immutable form so each attempt of an item (retry or resume)
+  // restores a pristine copy of its stream.
+  const std::vector<util::Rng::State> table = util::fork_streams(seed_, n);
   const std::vector<std::uint8_t> header = build_header(seed_, table);
 
   const bool checkpointing = !cfg_.checkpoint_path.empty();
@@ -264,9 +260,9 @@ SweepOutcome CheckpointedRunner::run() {
       n,
       [&](std::size_t i, util::CancelToken& token) {
         if (halted.load(std::memory_order_relaxed)) return;
-        // Identical per-item work to run_generated_sessions: restore a
-        // fresh copy of the pre-forked stream, fork gen/world/session off
-        // it, generate, build, run. Any retry starts from the same state.
+        // Restore a fresh copy of the pre-forked stream, fork
+        // gen/world/session off it, generate, build, run. Any retry starts
+        // from the same state.
         util::Rng rng = util::Rng::restore(table[i]);
         util::Rng gen_rng = rng.fork(1);
         util::Rng world_rng = rng.fork(2);

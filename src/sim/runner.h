@@ -56,10 +56,12 @@ struct MethodResult {
 };
 
 // Runs every method over the same placements, evaluating placements in
-// parallel (config.n_threads). Placement p's world and rounds draw from a
-// stream forked as master.fork(p + 1) — the paper's paired-comparison
-// methodology is preserved exactly, and the output is independent of the
-// thread count and of scheduling order.
+// parallel (config.n_threads). Placement p's world and rounds draw from
+// stream p of util::fork_streams(config.seed, n_placements) — the paper's
+// paired-comparison methodology is preserved exactly, and the output is
+// independent of the thread count and of scheduling order. A thin wrapper
+// over run_experiment_supervised below: if any placement fails, it throws
+// std::runtime_error carrying the FailureReport summary.
 std::vector<MethodResult> run_experiment(
     const channel::Testbed& testbed, const Scenario& scenario,
     const ExperimentConfig& config, const std::vector<RoundFn>& methods);
@@ -68,16 +70,15 @@ std::vector<MethodResult> run_experiment(
 RoundFn make_nplus_round_fn(const Scenario& scenario,
                             const RoundConfig& config);
 
-// --- Supervised variant --------------------------------------------------
+// --- Supervised executor -------------------------------------------------
 //
-// run_experiment under a util::Supervisor: a placement whose evaluation
-// throws is quarantined into the FailureReport instead of aborting the
-// whole experiment (its samples stay zeroed for every method, and
-// completed[p] == 0 flags them), an optional watchdog cancels placements
-// past their wall-clock budget (the round loop polls the token between
-// rounds), and TransientError attempts are retried from a pristine copy of
-// the placement's pre-forked stream. A run in which nothing fails produces
-// samples identical to run_experiment — same forks, same write-by-index.
+// The placement executor under a util::Supervisor: a placement whose
+// evaluation throws is quarantined into the FailureReport instead of
+// aborting the whole experiment (its samples stay zeroed for every method,
+// and completed[p] == 0 flags them), an optional watchdog cancels
+// placements past their wall-clock budget (the round loop polls the token
+// between rounds), and TransientError attempts are retried from a pristine
+// copy of the placement's pre-forked stream.
 struct SupervisedExperiment {
   std::vector<MethodResult> methods;       // as run_experiment returns
   std::vector<std::uint8_t> completed;     // per placement: samples valid?

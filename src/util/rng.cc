@@ -42,4 +42,14 @@ std::vector<int> Rng::sample_without_replacement(int n, int k) {
   return all;
 }
 
+std::vector<Rng::State> fork_streams(std::uint64_t seed, std::size_t n) {
+  Rng master(seed);
+  std::vector<Rng::State> table;
+  table.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    table.push_back(master.fork(i + 1).save());
+  }
+  return table;
+}
+
 }  // namespace nplus::util

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <numbers>
 #include <vector>
@@ -198,5 +199,14 @@ class Rng {
   bool has_cached_ = false;
   double cached_ = 0.0;
 };
+
+// The determinism shard of every parallel sweep: item i's stream is
+// Rng(seed).fork(label i + 1), forked in item order *before* dispatch, so
+// whatever worker later evaluates item i sees exactly the stream the serial
+// loop would have handed it. Returned in saved form: a retry or a resume
+// restores a pristine copy, because fork() advances its parent. This is the
+// only place the table is built (ThreadPool::run_seeded, the supervised
+// experiment harness and sim::CheckpointedRunner all call it).
+std::vector<Rng::State> fork_streams(std::uint64_t seed, std::size_t n);
 
 }  // namespace nplus::util

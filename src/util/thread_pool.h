@@ -32,11 +32,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "util/rng.h"
@@ -91,22 +89,6 @@ class ThreadPool {
   using IndexFn = std::function<void(std::size_t, std::size_t)>;
   void parallel_for(std::size_t begin, std::size_t end, const IndexFn& body);
 
-  // Per-thread-context variant: make_ctx(worker) is invoked at most once
-  // per participating worker (lazily, on its first iteration), and the
-  // returned context is reused for all of that worker's iterations —
-  // the hook for reusable PHY workspaces that keep the zero-allocation
-  // property per worker instead of per call.
-  template <typename MakeCtx, typename Body>
-  void parallel_for_ctx(std::size_t begin, std::size_t end, MakeCtx&& make_ctx,
-                        Body&& body) {
-    using Ctx = std::decay_t<decltype(make_ctx(std::size_t{0}))>;
-    std::vector<std::optional<Ctx>> ctxs(n_threads_);
-    parallel_for(begin, end, [&](std::size_t i, std::size_t w) {
-      if (!ctxs[w]) ctxs[w].emplace(make_ctx(w));
-      body(i, *ctxs[w]);
-    });
-  }
-
   // Process-wide pool, built lazily at default_thread_count() (or the last
   // set_global_threads value). Shared by the experiment harness whenever a
   // config leaves n_threads at 0.
@@ -122,22 +104,21 @@ class ThreadPool {
   static void run(std::size_t n_threads, std::size_t begin, std::size_t end,
                   const IndexFn& body);
 
-  // The determinism contract, packaged: forks one Rng per item from
-  // Rng(seed) — label i + 1, in item order, *before* dispatch — then runs
-  // body(i, rng_i) concurrently (n_threads as in run()). Whatever worker
-  // evaluates item i, it sees exactly the stream the serial loop would
-  // have handed it, so callers that also write results by index are
-  // bit-identical for every thread count. Use this instead of hand-rolling
-  // the fork-then-dispatch pattern.
+  // The determinism contract, packaged: takes one stream per item from
+  // fork_streams(seed, n) (util/rng.h: forked in item order *before*
+  // dispatch), then runs body(i, rng_i) concurrently (n_threads as in
+  // run()). Whatever worker evaluates item i, it sees exactly the stream
+  // the serial loop would have handed it, so callers that also write
+  // results by index are bit-identical for every thread count. Use this
+  // instead of hand-rolling the fork-then-dispatch pattern.
   template <typename Body>
   static void run_seeded(std::size_t n_threads, std::uint64_t seed,
                          std::size_t n, Body&& body) {
-    Rng master(seed);
-    std::vector<Rng> rngs;
-    rngs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) rngs.push_back(master.fork(i + 1));
-    run(n_threads, 0, n,
-        [&](std::size_t i, std::size_t) { body(i, rngs[i]); });
+    const std::vector<Rng::State> streams = fork_streams(seed, n);
+    run(n_threads, 0, n, [&](std::size_t i, std::size_t) {
+      Rng rng = Rng::restore(streams[i]);
+      body(i, rng);
+    });
   }
 
  private:

@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <utility>
 #include <vector>
 
 #include "channel/evolution.h"
 #include "channel/mimo_channel.h"
 #include "phy/rate_control.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/mobility.h"
 #include "sim/scenario_gen.h"
 #include "sim/session.h"
@@ -495,28 +497,35 @@ void expect_sessions_equal(const sim::SessionResult& a,
   }
 }
 
-TEST(DynamicSession, DynamicsOffIsBitIdenticalToStaticPath) {
-  // The zero-Doppler / zero-churn regression: a default DynamicsConfig
-  // must reproduce the static engine draw for draw. (The checked-in
-  // golden fixtures in tests/golden/ pin the static path itself, so
-  // together these guarantee dynamics-off == PR-4 behavior exactly.)
-  util::Rng t1(1), t2(1);
+TEST(DynamicSession, DynamicsOffKeepsEveryLinkActive) {
+  // A default DynamicsConfig is a static session: no dynamics fork, no
+  // world step, no churn (SessionSuite.MatchesManualRoundLoopExactly and
+  // the golden fixtures in tests/golden/ pin its draw sequence). Every
+  // link is active every round.
+  util::Rng t(1);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kDenseCell, t1);
+      sim::make_preset(sim::Preset::kDenseCell, t);
   sim::SessionConfig cfg;
   cfg.n_rounds = 30;
   ASSERT_FALSE(cfg.dynamics.active());
+  util::Rng w(42), s(43);
+  sim::World world = sim::make_world(topo, w);
+  const sim::SessionResult a = sim::run_session(world, topo.scenario, s, cfg);
+  EXPECT_EQ(a.rounds, cfg.n_rounds);
+  EXPECT_EQ(a.idle_rounds, 0u);
+  EXPECT_EQ(a.mean_active_links,
+            static_cast<double>(topo.scenario.links.size()));
+}
 
-  util::Rng w1(42), s1(43);
-  const sim::World world_static = sim::make_world(topo, w1);
-  const sim::SessionResult a =
-      sim::run_session(world_static, topo.scenario, s1, cfg);
-
-  util::Rng w2(42), s2(43);
-  sim::World world_dyn = sim::make_world(topo, w2);  // mutable overload
-  const sim::SessionResult b =
-      sim::run_session(world_dyn, topo.scenario, s2, cfg);
-  expect_sessions_equal(a, b);
+// A complete sweep on the shared executor at `threads` workers.
+std::vector<sim::SessionResult> sweep(const std::vector<sim::SweepItem>& items,
+                                      std::uint64_t seed,
+                                      std::size_t threads) {
+  sim::RunnerConfig cfg;
+  cfg.supervisor.n_threads = threads;
+  sim::SweepOutcome outcome = sim::CheckpointedRunner(items, seed, cfg).run();
+  EXPECT_TRUE(outcome.complete()) << outcome.report.summary();
+  return std::move(outcome.results);
 }
 
 sim::SessionConfig dynamic_session_config() {
@@ -548,9 +557,9 @@ TEST(DynamicSession, BitIdenticalAcrossThreadCounts) {
     item.world.lazy_channels = i >= 2;
     items.push_back(item);
   }
-  const auto r1 = sim::run_generated_sessions(items, 99, 1);
-  const auto r3 = sim::run_generated_sessions(items, 99, 3);
-  const auto rn = sim::run_generated_sessions(items, 99, 0);
+  const auto r1 = sweep(items, 99, 1);
+  const auto r3 = sweep(items, 99, 3);
+  const auto rn = sweep(items, 99, 0);
   ASSERT_EQ(r1.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     expect_sessions_equal(r1[i], r3[i]);

@@ -54,7 +54,7 @@ GoldenTrace run_trace(sim::Preset preset) {
   util::Rng world_rng = rng.fork(11);
   util::Rng session_rng = rng.fork(12);
   const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
-  const sim::World world = sim::make_world(topo, world_rng);
+  sim::World world = sim::make_world(topo, world_rng);
   sim::SessionConfig cfg;
   cfg.n_rounds = kRounds;
   cfg.round.fidelity = sim::Fidelity::kAbstracted;

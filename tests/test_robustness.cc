@@ -464,11 +464,30 @@ TEST(Audit, CatchesSeededViolations) {
   }
 }
 
-TEST(CheckpointRunner, FreshRunMatchesUnsupervisedSweep) {
+// The runner's documented stream layout replayed serially with no
+// supervision: item i draws from Rng(seed).fork(i + 1), then forks 1/2/3 of
+// that stream for the topology, the world and the session.
+std::vector<SessionResult> serial_replay(const std::vector<SweepItem>& items,
+                                         std::uint64_t seed) {
+  util::Rng master(seed);
+  std::vector<SessionResult> out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    util::Rng rng = master.fork(i + 1);
+    util::Rng gen_rng = rng.fork(1);
+    util::Rng world_rng = rng.fork(2);
+    util::Rng session_rng = rng.fork(3);
+    const GeneratedTopology topo = generate_topology(items[i].gen, gen_rng);
+    World world = make_world(topo, world_rng, items[i].world);
+    out.push_back(
+        run_session(world, topo.scenario, session_rng, items[i].session));
+  }
+  return out;
+}
+
+TEST(CheckpointRunner, FreshRunMatchesSerialReplay) {
   const std::vector<SweepItem> items(4, small_item());
   const std::uint64_t seed = 21;
-  const std::vector<SessionResult> expected =
-      run_generated_sessions(items, seed, 2);
+  const std::vector<SessionResult> expected = serial_replay(items, seed);
   RunnerConfig cfg;
   cfg.supervisor.n_threads = 2;
   CheckpointedRunner runner(items, seed, cfg);
@@ -483,9 +502,15 @@ TEST(CheckpointRunner, FreshRunMatchesUnsupervisedSweep) {
 TEST(CheckpointRunner, KillAtCheckpointThenResumeIsByteIdentical) {
   const std::vector<SweepItem> items(6, small_item());
   const std::uint64_t seed = 33;
-  const std::vector<SessionResult> uninterrupted =
-      run_generated_sessions(items, seed, 1);
-  const std::vector<std::uint8_t> expected = result_bytes(uninterrupted);
+  std::vector<std::uint8_t> expected;
+  {
+    RunnerConfig cfg;
+    cfg.supervisor.n_threads = 1;
+    const SweepOutcome uninterrupted =
+        CheckpointedRunner(items, seed, cfg).run();
+    ASSERT_TRUE(uninterrupted.complete());
+    expected = result_bytes(uninterrupted.results);
+  }
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     TempFile ckpt("test_ckpt_resume_" + std::to_string(threads) + ".bin");
@@ -603,31 +628,35 @@ TEST(CheckpointRunner, MismatchedSweepIsRejected) {
   EXPECT_THROW(runner.run(), util::CheckpointError);
 }
 
-TEST(RunnerSupervised, MatchesBareExperimentWhenNothingFails) {
+TEST(RunnerSupervised, BareExperimentThrowsWhenARoundThrows) {
+  // The supervised executor flags healthy placements complete and
+  // quarantines failing ones; the bare entry point, a wrapper over it,
+  // must fail loudly instead of returning zeroed samples.
   const channel::Testbed testbed;
   const Scenario scenario = three_pair_scenario();
   ExperimentConfig cfg;
-  cfg.n_placements = 6;
+  cfg.n_placements = 4;
   cfg.rounds_per_placement = 2;
-  cfg.seed = 9;
   cfg.n_threads = 2;
+  const SupervisedExperiment healthy = run_experiment_supervised(
+      testbed, scenario, cfg, {make_nplus_round_fn(scenario, cfg.round)});
+  EXPECT_TRUE(healthy.report.all_ok());
+  for (const std::uint8_t done : healthy.completed) EXPECT_EQ(done, 1);
+
   const std::vector<RoundFn> methods = {
-      make_nplus_round_fn(scenario, cfg.round)};
-  const std::vector<MethodResult> bare =
-      run_experiment(testbed, scenario, cfg, methods);
+      [](const World&, util::Rng&) -> GenericRound {
+        throw std::runtime_error("round exploded");
+      }};
   const SupervisedExperiment sup =
       run_experiment_supervised(testbed, scenario, cfg, methods);
-  EXPECT_TRUE(sup.report.all_ok());
-  ASSERT_EQ(sup.methods.size(), bare.size());
-  for (std::size_t m = 0; m < bare.size(); ++m) {
-    ASSERT_EQ(sup.methods[m].samples.size(), bare[m].samples.size());
-    for (std::size_t p = 0; p < bare[m].samples.size(); ++p) {
-      EXPECT_EQ(sup.methods[m].samples[p].total_mbps,
-                bare[m].samples[p].total_mbps);
-      EXPECT_EQ(sup.methods[m].samples[p].per_link_mbps,
-                bare[m].samples[p].per_link_mbps);
-      EXPECT_TRUE(sup.completed[p]);
-    }
+  EXPECT_EQ(sup.report.failures.size(), cfg.n_placements);
+  for (const std::uint8_t done : sup.completed) EXPECT_EQ(done, 0);
+  try {
+    run_experiment(testbed, scenario, cfg, methods);
+    FAIL() << "expected run_experiment to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("round exploded"),
+              std::string::npos);
   }
 }
 

@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "sim/checkpoint_runner.h"
 #include "sim/round.h"
 #include "sim/scenario_gen.h"
 #include "sim/scenarios.h"
@@ -258,7 +261,7 @@ class SessionSuite : public ::testing::Test {
 };
 
 TEST_F(SessionSuite, RunsRequestedRoundsWithSeries) {
-  const World w = preset_world(20);
+  World w = preset_world(20);
   SessionConfig cfg;
   cfg.n_rounds = 40;
   cfg.snapshot_every = 10;
@@ -289,8 +292,8 @@ TEST_F(SessionSuite, DeterministicForSameStream) {
   // mutable RNG stream, so re-running a session on the SAME world object
   // continues that stream — reproducibility is (world seed, session seed),
   // not the session seed alone.
-  const World wa = preset_world(22);
-  const World wb = preset_world(22);
+  World wa = preset_world(22);
+  World wb = preset_world(22);
   SessionConfig cfg;
   cfg.n_rounds = 15;
   util::Rng r1(23), r2(23);
@@ -302,7 +305,7 @@ TEST_F(SessionSuite, DeterministicForSameStream) {
 }
 
 TEST_F(SessionSuite, HorizonCapsTheSession) {
-  const World w = preset_world(24);
+  World w = preset_world(24);
   SessionConfig cfg;
   cfg.n_rounds = 100000;
   cfg.max_duration_s = 20e-3;  // ~a dozen rounds fit
@@ -321,9 +324,12 @@ TEST_F(SessionSuite, MatchesManualRoundLoopExactly) {
   // The session is the EventSim-driven chaining of run_nplus_round: with
   // identical configs and RNG streams (including a fresh identically-seeded
   // world, whose estimate() draws advance per round), a hand-rolled loop
-  // must reproduce its totals bit-for-bit (the scheduling adds/loses
-  // nothing).
-  const World wa = preset_world(26);
+  // must reproduce every link's rate bit-for-bit (the scheduling
+  // adds/loses nothing) and leave the session stream in the same state. A
+  // default config (dynamics off, faults off, n+) is a static session, so
+  // this pins that it takes none of the live-only draws (the dynamics and
+  // fault forks, world steps, CSI refreshes).
+  World wa = preset_world(26);
   const World wb = preset_world(26);
   SessionConfig cfg;
   cfg.n_rounds = 25;
@@ -331,15 +337,23 @@ TEST_F(SessionSuite, MatchesManualRoundLoopExactly) {
   util::Rng r1(27), r2(27);
   const SessionResult res = run_session(wa, topo_.scenario, r1, cfg);
 
-  double bits = 0.0, busy = 0.0;
+  const std::size_t n_links = topo_.scenario.links.size();
+  std::vector<double> bits(n_links, 0.0);
+  double busy = 0.0;
   for (std::size_t i = 0; i < cfg.n_rounds; ++i) {
     const RoundResult round = run_nplus_round(wb, topo_.scenario, r2,
                                               cfg.round);
     busy += round.duration_s;
-    for (const auto& l : round.links) bits += l.delivered_bits;
+    for (std::size_t l = 0; l < n_links; ++l) {
+      bits[l] += round.links[l].delivered_bits;
+    }
   }
-  EXPECT_DOUBLE_EQ(res.duration_s, busy);
-  EXPECT_DOUBLE_EQ(res.total_mbps, bits / busy / 1e6);
+  EXPECT_EQ(res.duration_s, busy);
+  ASSERT_EQ(res.per_link_mbps.size(), n_links);
+  for (std::size_t l = 0; l < n_links; ++l) {
+    EXPECT_EQ(res.per_link_mbps[l], bits[l] / busy / 1e6) << l;
+  }
+  EXPECT_EQ(r1.save().gen.state, r2.save().gen.state);
 }
 
 TEST_F(SessionSuite, DcfSessionMatchesPaperPathWithinNoise) {
@@ -347,7 +361,7 @@ TEST_F(SessionSuite, DcfSessionMatchesPaperPathWithinNoise) {
   // new engine (multi-round session, real DCF backoff), reproduces the
   // paper-faithful run_nplus_round path (random-winner methodology) within
   // noise. Same world, both with full MAC overheads.
-  const World w = preset_world(28);
+  World w = preset_world(28);
   SessionConfig cfg;
   cfg.n_rounds = 250;
   cfg.snapshot_every = 0;
@@ -375,7 +389,7 @@ TEST_F(SessionSuite, ExposedTerminalSustainsConcurrency) {
   // single-antenna link wins the primary contention (~half the rounds), the
   // two-antenna link should join over the spare DoF instead of staying
   // serialized.
-  const World w = preset_world(31, Preset::kExposedTerminal);
+  World w = preset_world(31, Preset::kExposedTerminal);
   SessionConfig cfg;
   cfg.n_rounds = 60;
   cfg.snapshot_every = 0;
@@ -387,6 +401,16 @@ TEST_F(SessionSuite, ExposedTerminalSustainsConcurrency) {
 
 // --- Parallel sweep -----------------------------------------------------
 
+// A complete sweep on the shared executor at `threads` workers.
+std::vector<SessionResult> sweep(const std::vector<SweepItem>& items,
+                                 std::uint64_t seed, std::size_t threads) {
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = threads;
+  SweepOutcome outcome = CheckpointedRunner(items, seed, cfg).run();
+  EXPECT_TRUE(outcome.complete()) << outcome.report.summary();
+  return std::move(outcome.results);
+}
+
 TEST(GeneratedSweep, BitIdenticalAcrossThreadCounts) {
   SweepItem item;
   item.gen.n_links = 3;
@@ -395,9 +419,9 @@ TEST(GeneratedSweep, BitIdenticalAcrossThreadCounts) {
   std::vector<SweepItem> items(3, item);
   items[1].gen.n_links = 5;
   items[2].gen.pattern = LinkPattern::kApDownlink;
-  const auto a = run_generated_sessions(items, 2026, 1);
-  const auto b = run_generated_sessions(items, 2026, 2);
-  const auto c = run_generated_sessions(items, 2026, 5);
+  const auto a = sweep(items, 2026, 1);
+  const auto b = sweep(items, 2026, 3);
+  const auto c = sweep(items, 2026, 0);
   ASSERT_EQ(a.size(), 3u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].total_mbps, b[i].total_mbps);
@@ -417,7 +441,7 @@ TEST(GeneratedSweep, ScalesToLargerWorlds) {
   item.gen.rx_mix.weights = {0.4, 0.3, 0.2, 0.1};
   item.session.n_rounds = 4;
   item.session.snapshot_every = 0;
-  const auto res = run_generated_sessions({item}, 5, 0);
+  const auto res = sweep({item}, 5, 0);
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].rounds, 4u);
   EXPECT_EQ(res[0].per_link_mbps.size(), 25u);
