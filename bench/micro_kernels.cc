@@ -497,6 +497,29 @@ void BM_ViterbiDecode1500B(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiDecode1500B)->Unit(benchmark::kMillisecond);
 
+void BM_ViterbiDecodeSoft1500B(benchmark::State& state) {
+  // A 1500-byte frame's worth of rate-3/4 code bits sent as +-1 over AWGN
+  // (sigma 0.6), demapped to exact BPSK LLRs 2y/sigma^2: the soft-decision
+  // decode the full-PHY scorer runs on every stream.
+  util::Rng rng(10);
+  phy::Bits data(12000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(2u));
+  for (int i = 0; i < 6; ++i) data.push_back(0);
+  const phy::Bits coded = phy::conv_encode(data, phy::CodeRate::kRate3_4);
+  constexpr double kSigma = 0.6;
+  std::vector<double> llr(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    const double y = (coded[i] ? -1.0 : 1.0) + kSigma * rng.gaussian();
+    llr[i] = 2.0 * y / (kSigma * kSigma);
+  }
+  for (auto _ : state) {
+    auto out =
+        phy::viterbi_decode_soft(llr, data.size(), phy::CodeRate::kRate3_4);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_ViterbiDecodeSoft1500B)->Unit(benchmark::kMillisecond);
+
 void BM_EncodePayload1500B(benchmark::State& state) {
   util::Rng rng(7);
   std::vector<std::uint8_t> payload(1500);

@@ -31,7 +31,9 @@ Bits demap_hard(const std::vector<cdouble>& symbols, Modulation m);
 
 // Max-log LLRs given per-symbol noise variance. `noise_var[i]` is the
 // post-equalization noise variance of symbol i (a scalar per symbol because
-// zero-forcing whitens per subcarrier); pass 1.0 for metric-only use.
+// zero-forcing whitens per subcarrier); pass 1.0 for metric-only use. A
+// shorter vector reuses its last entry for the remaining symbols; an empty
+// one means unit variance.
 std::vector<double> demap_soft(const std::vector<cdouble>& symbols,
                                const std::vector<double>& noise_var,
                                Modulation m);

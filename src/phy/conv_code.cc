@@ -3,6 +3,7 @@
 #include <array>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace nplus::phy {
 
@@ -14,7 +15,7 @@ constexpr int kK = 7;
 constexpr int kStates = 1 << (kK - 1);  // 64
 
 // Parity of the lowest 7 bits.
-inline std::uint8_t parity7(unsigned x) {
+constexpr std::uint8_t parity7(unsigned x) {
   x &= 0x7F;
   x ^= x >> 4;
   x ^= x >> 2;
@@ -128,74 +129,104 @@ std::vector<double> depuncture(const std::vector<double>& in, std::size_t n_in,
   return out;
 }
 
-// Flattened 64-state trellis, built once at first decode. Entry s*2+in
-// holds the successor state, the output-pair index (a<<1)|b selecting one
-// of the four per-step branch metrics, and the packed traceback decision.
-// The trellis depends only on the mother code (g0/g1), not on the CodeRate —
-// puncturing is handled entirely by depuncture(), so one table serves every
-// rate.
-struct Trellis {
-  std::array<std::uint8_t, kStates * 2> next;
-  std::array<std::uint8_t, kStates * 2> out_idx;
-  std::array<std::uint8_t, kStates * 2> decision;
-};
+// Butterfly view of the 64-state trellis. The state is the last six input
+// bits, newest in bit 5, so input `in` moves state s to (in << 5) | (s >> 1):
+// the predecessors 2j and 2j+1 both feed j (input 0) and j+32 (input 1).
+// Both generators tap the newest and the oldest register bit, so flipping
+// either one flips both coded bits: the branch 2j -> j carries the same
+// output pair as 2j+1 -> j+32, and the two other branches carry its
+// complement, whose correlation metric is the exact negation. One output
+// pair index per butterfly therefore describes the whole trellis. It
+// depends only on the mother code (g0/g1), not on the CodeRate — puncturing
+// is handled entirely by depuncture(), so one table serves every rate.
+constexpr int kHalf = kStates / 2;
 
-const Trellis& trellis() {
-  static const Trellis t = [] {
-    Trellis tr{};
-    for (int s = 0; s < kStates; ++s) {
-      for (int in = 0; in < 2; ++in) {
-        const unsigned reg =
-            (static_cast<unsigned>(in) << 6) | static_cast<unsigned>(s);
-        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
-        tr.next[i] = static_cast<std::uint8_t>(reg >> 1);
-        tr.out_idx[i] = static_cast<std::uint8_t>(
-            (parity7(reg & kG0) << 1) | parity7(reg & kG1));
-        // Record the predecessor state's dropped bit + input bit; the
-        // predecessor is recoverable as ((next << 1) | dropped_bit) & 0x3F.
-        tr.decision[i] = static_cast<std::uint8_t>(((s & 1) << 1) | in);
-      }
-    }
-    return tr;
-  }();
-  return t;
-}
+constexpr std::array<std::uint8_t, kHalf> kButterflyOut = [] {
+  std::array<std::uint8_t, kHalf> out{};
+  for (unsigned j = 0; j < kHalf; ++j) {
+    const unsigned reg = 2 * j;  // state 2j, input 0
+    out[j] = static_cast<std::uint8_t>((parity7(reg & kG0) << 1) |
+                                       parity7(reg & kG1));
+  }
+  return out;
+}();
 
+// Add-compare-select over the butterflies, gather form: each target state
+// reads its two predecessors, so a step is 32 butterflies over two metric
+// buffers with no data-dependent branch in the source. Survivors are one
+// bit per state per step, set when the odd predecessor won. GCC -O3
+// vectorizes the branch-metric loop at the baseline ISA; the ACS loop stays
+// scalar there, because SSE2 cannot turn a double compare into a byte flag
+// (a variant that kept double flags to get a vectorized loop measured no
+// faster).
+//
+// Tie-break contract: the result is the one the per-transition scatter form
+// (walk the source states in order, skip unreached ones, keep a candidate
+// only if strictly better) gives, byte for byte, for every input including
+// ties, NaN and ±inf. Each target's running max starts at -inf, the even
+// predecessor is compared first and every comparison is a strict `>`, so a
+// tie keeps the even predecessor, a NaN or -inf candidate never wins and an
+// unreached state stays at -inf with survivor bit 0. The negated branch
+// metric can differ from the scatter form's `-la ± lb` only in the sign of
+// a zero or a NaN; neither changes a comparison, and adding ±0 to a path
+// metric gives the same sum because path metrics are never -0.
 Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
   // llr_full has 2 entries (A, B) per input bit; llr > 0 favors bit value 0.
   assert(llr_full.size() >= 2 * n_out);
 
-  const Trellis& tr = trellis();
-
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> metric(kStates, kNegInf);
-  metric[0] = 0.0;  // encoder starts in state 0
-  std::vector<double> next_metric(kStates);
-  // Survivor table: predecessor-input packed decisions.
-  std::vector<std::uint8_t> decisions(n_out * kStates);
+  std::array<double, kStates> metric_a;
+  std::array<double, kStates> metric_b;
+  metric_a.fill(kNegInf);
+  metric_a[0] = 0.0;  // encoder starts in state 0
+  double* metric = metric_a.data();
+  double* next_metric = metric_b.data();
+  std::vector<std::uint64_t> survivors(n_out);
 
   for (std::size_t t = 0; t < n_out; ++t) {
     const double la = llr_full[2 * t];
     const double lb = llr_full[2 * t + 1];
-    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1. Only
-    // four (a, b) output pairs exist, so compute all four branch metrics
-    // once per step instead of per transition.
+    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1, one
+    // value per (a, b) output pair.
     const std::array<double, 4> bm = {la + lb, la - lb, -la + lb, -la - lb};
-    std::fill(next_metric.begin(), next_metric.end(), kNegInf);
-    std::uint8_t* dec = &decisions[t * kStates];
-    for (int s = 0; s < kStates; ++s) {
-      if (metric[s] == kNegInf) continue;
-      for (int in = 0; in < 2; ++in) {
-        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
-        const double m = metric[s] + bm[tr.out_idx[i]];
-        const int next = tr.next[i];
-        if (m > next_metric[next]) {
-          next_metric[next] = m;
-          dec[next] = tr.decision[i];
-        }
-      }
+    std::array<double, kHalf> branch;
+    std::array<double, kHalf> negated;
+    for (int j = 0; j < kHalf; ++j) {
+      branch[j] = bm[kButterflyOut[j]];
+      negated[j] = -branch[j];
     }
-    metric.swap(next_metric);
+
+    std::array<std::uint8_t, kStates> odd_won;
+    for (int j = 0; j < kHalf; ++j) {
+      const double even = metric[2 * j];
+      const double odd = metric[2 * j + 1];
+      // Target j takes 2j on the butterfly's branch and 2j+1 on its
+      // negation; target j+32 swaps the two.
+      const double e0 = even + branch[j];
+      const double o0 = odd + negated[j];
+      const double e1 = even + negated[j];
+      const double o1 = odd + branch[j];
+      const double m0 = e0 > kNegInf ? e0 : kNegInf;
+      const double m1 = e1 > kNegInf ? e1 : kNegInf;
+      const bool w0 = o0 > m0;
+      const bool w1 = o1 > m1;
+      next_metric[j] = w0 ? o0 : m0;
+      next_metric[j + kHalf] = w1 ? o1 : m1;
+      odd_won[j] = w0;
+      odd_won[j + kHalf] = w1;
+    }
+    // Pack the 64 0/1 bytes into bits: the multiply gathers the low bit of
+    // each byte of an 8-byte group into the top byte, byte i to bit 56 + i.
+    std::uint64_t word = 0;
+    for (int g = 0; g < kStates / 8; ++g) {
+      std::uint64_t bytes = 0;
+      for (int i = 0; i < 8; ++i) {
+        bytes |= static_cast<std::uint64_t>(odd_won[8 * g + i]) << (8 * i);
+      }
+      word |= ((bytes * 0x0102040810204080ull) >> 56) << (8 * g);
+    }
+    survivors[t] = word;
+    std::swap(metric, next_metric);
   }
 
   // Trace back from the best end state (frames are tail-terminated to state
@@ -211,11 +242,9 @@ Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
 
   Bits out(n_out);
   for (std::size_t t = n_out; t-- > 0;) {
-    const std::uint8_t d = decisions[t * kStates + state];
-    const std::uint8_t in = d & 1u;
-    const std::uint8_t dropped = (d >> 1) & 1u;
-    out[t] = in;
-    state = ((state << 1) | dropped) & (kStates - 1);
+    out[t] = static_cast<std::uint8_t>(state >> 5);  // the input bit
+    const int odd = static_cast<int>((survivors[t] >> state) & 1u);
+    state = ((state << 1) | odd) & (kStates - 1);
   }
   return out;
 }

@@ -1,8 +1,9 @@
 // 802.11 convolutional code: rate-1/2 mother code, constraint length K = 7,
 // generators g0 = 133o, g1 = 171o, with the standard puncturing patterns for
-// rates 2/3 and 3/4. Decoding is Viterbi, supporting both hard-decision
-// (Hamming metric) and soft-decision (LLR correlation metric) inputs;
-// punctured positions contribute zero metric.
+// rates 2/3 and 3/4. Decoding is Viterbi with an LLR correlation metric;
+// hard-decision input is mapped to ±1 LLRs (bit 0 -> +1, bit 1 -> -1) and
+// run through the same soft decoder. Punctured positions contribute zero
+// metric.
 #pragma once
 
 #include <cstdint>

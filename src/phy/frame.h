@@ -65,7 +65,8 @@ std::vector<cdouble> encode_payload(const std::vector<std::uint8_t>& payload,
 std::size_t encoded_symbol_count(std::size_t payload_bytes, const Mcs& mcs);
 
 // Inverse of encode_payload from soft symbol observations.
-// `noise_var[i]` is the noise variance of symbols[i] (post-equalization).
+// `noise_var[i]` is the noise variance of symbols[i] (post-equalization);
+// a shorter vector reuses its last entry, an empty one means unit variance.
 // Returns the payload bytes if the CRC-32 checks out, nullopt otherwise.
 std::optional<std::vector<std::uint8_t>> decode_payload(
     const std::vector<cdouble>& symbols, const std::vector<double>& noise_var,

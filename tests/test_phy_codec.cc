@@ -1,9 +1,15 @@
 // Tests for the bit-level PHY: CRC, scrambler, convolutional code +
-// Viterbi (all rates, error correction), interleaver, constellations,
-// MCS tables and effective-SNR rate selection.
+// Viterbi (all rates, error correction, byte identity with the scatter-form
+// decoder), interleaver, constellations, MCS tables and effective-SNR rate
+// selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "phy/constellation.h"
 #include "phy/conv_code.h"
@@ -589,6 +595,278 @@ TEST(CodecProperties, TailBoundaryLengthsRoundtrip) {
       const auto decoded = decode_payload(symbols, {1e-3}, L, mcs);
       ASSERT_TRUE(decoded.has_value()) << mcs.name() << " length " << L;
       EXPECT_EQ(*decoded, payload);
+    }
+  }
+}
+
+// --- Differential test: butterfly decoder vs the scatter-form oracle -----
+//
+// The scatter-form Viterbi below is the decoder the butterfly ACS replaced,
+// kept verbatim with its trellis table, plus the depuncturer, as a
+// test-only oracle. The butterfly form must reproduce it byte for byte
+// on every input, including ties, erasures, ±inf, NaN and overflowing path
+// sums: full-PHY delivery verdicts and the calibrated PER table depend on
+// every decoded bit.
+namespace scatter_oracle {
+
+constexpr unsigned kG0 = 0133;  // octal, 7 taps
+constexpr unsigned kG1 = 0171;
+constexpr int kK = 7;
+constexpr int kStates = 1 << (kK - 1);  // 64
+
+// Parity of the lowest 7 bits.
+inline std::uint8_t parity7(unsigned x) {
+  x &= 0x7F;
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return static_cast<std::uint8_t>(x & 1u);
+}
+
+// Serialized A,B puncture pattern per rate (true = transmitted).
+std::vector<bool> puncture_pattern(CodeRate r) {
+  switch (r) {
+    case CodeRate::kRate1_2:
+      return {true, true};
+    case CodeRate::kRate2_3:
+      return {true, true, true, false};
+    case CodeRate::kRate3_4:
+      return {true, true, true, false, false, true};
+  }
+  return {true, true};
+}
+
+std::vector<double> depuncture(const std::vector<double>& in, std::size_t n_in,
+                               CodeRate rate) {
+  const std::vector<bool> pattern = puncture_pattern(rate);
+  std::vector<double> out(2 * n_in, 0.0);
+  std::size_t src = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (pattern[i % pattern.size()]) {
+      if (src < in.size()) out[i] = in[src++];
+    }
+  }
+  return out;
+}
+
+struct Trellis {
+  std::array<std::uint8_t, kStates * 2> next;
+  std::array<std::uint8_t, kStates * 2> out_idx;
+  std::array<std::uint8_t, kStates * 2> decision;
+};
+
+const Trellis& trellis() {
+  static const Trellis t = [] {
+    Trellis tr{};
+    for (int s = 0; s < kStates; ++s) {
+      for (int in = 0; in < 2; ++in) {
+        const unsigned reg =
+            (static_cast<unsigned>(in) << 6) | static_cast<unsigned>(s);
+        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
+        tr.next[i] = static_cast<std::uint8_t>(reg >> 1);
+        tr.out_idx[i] = static_cast<std::uint8_t>(
+            (parity7(reg & kG0) << 1) | parity7(reg & kG1));
+        // Record the predecessor state's dropped bit + input bit; the
+        // predecessor is recoverable as ((next << 1) | dropped_bit) & 0x3F.
+        tr.decision[i] = static_cast<std::uint8_t>(((s & 1) << 1) | in);
+      }
+    }
+    return tr;
+  }();
+  return t;
+}
+
+Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
+  // llr_full has 2 entries (A, B) per input bit; llr > 0 favors bit value 0.
+  assert(llr_full.size() >= 2 * n_out);
+
+  const Trellis& tr = trellis();
+
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<double> metric(kStates, kNegInf);
+  metric[0] = 0.0;  // encoder starts in state 0
+  std::vector<double> next_metric(kStates);
+  // Survivor table: predecessor-input packed decisions.
+  std::vector<std::uint8_t> decisions(n_out * kStates);
+
+  for (std::size_t t = 0; t < n_out; ++t) {
+    const double la = llr_full[2 * t];
+    const double lb = llr_full[2 * t + 1];
+    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1. Only
+    // four (a, b) output pairs exist, so compute all four branch metrics
+    // once per step instead of per transition.
+    const std::array<double, 4> bm = {la + lb, la - lb, -la + lb, -la - lb};
+    std::fill(next_metric.begin(), next_metric.end(), kNegInf);
+    std::uint8_t* dec = &decisions[t * kStates];
+    for (int s = 0; s < kStates; ++s) {
+      if (metric[s] == kNegInf) continue;
+      for (int in = 0; in < 2; ++in) {
+        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
+        const double m = metric[s] + bm[tr.out_idx[i]];
+        const int next = tr.next[i];
+        if (m > next_metric[next]) {
+          next_metric[next] = m;
+          dec[next] = tr.decision[i];
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+
+  // Trace back from the best end state (frames are tail-terminated to state
+  // 0 by frame.cc, but be robust to untailed use).
+  int state = 0;
+  double best = metric[0];
+  for (int s = 1; s < kStates; ++s) {
+    if (metric[s] > best) {
+      best = metric[s];
+      state = s;
+    }
+  }
+
+  Bits out(n_out);
+  for (std::size_t t = n_out; t-- > 0;) {
+    const std::uint8_t d = decisions[t * kStates + state];
+    const std::uint8_t in = d & 1u;
+    const std::uint8_t dropped = (d >> 1) & 1u;
+    out[t] = in;
+    state = ((state << 1) | dropped) & (kStates - 1);
+  }
+  return out;
+}
+
+Bits viterbi_decode_soft(const std::vector<double>& llr, std::size_t n_out,
+                         CodeRate rate) {
+  return viterbi_core(depuncture(llr, n_out, rate), n_out);
+}
+
+// decode_payload's chain as it was before the butterfly decoder, with the
+// oracle decoder in the Viterbi slot and its per-symbol noise-variance copy.
+std::optional<std::vector<std::uint8_t>> decode_payload(
+    const std::vector<cdouble>& symbols, const std::vector<double>& noise_var,
+    std::size_t payload_bytes, const Mcs& mcs) {
+  const std::size_t n_data_bits =
+      encoded_symbol_count(payload_bytes, mcs) * mcs.n_dbps;
+  const std::size_t n_coded = coded_length(n_data_bits, mcs.code_rate);
+  const std::size_t bps = bits_per_symbol(mcs.modulation);
+  if (symbols.size() * bps < n_coded) return std::nullopt;
+  std::vector<double> nv_symbols;
+  nv_symbols.reserve(symbols.size());
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    nv_symbols.push_back(noise_var.empty()
+                             ? 1.0
+                             : noise_var[std::min(i, noise_var.size() - 1)]);
+  }
+  std::vector<double> llr = demap_soft(symbols, nv_symbols, mcs.modulation);
+  llr.resize(n_coded);
+  const Bits bits = descramble(scatter_oracle::viterbi_decode_soft(
+      deinterleave_soft(llr, mcs.n_cbps, bps), n_data_bits, mcs.code_rate));
+  const std::size_t need = 16 + 8 * (payload_bytes + 4);
+  if (bits.size() < need) return std::nullopt;
+  const std::vector<std::uint8_t> bytes = bits_to_bytes(
+      Bits(bits.begin() + 16, bits.begin() + static_cast<long>(need)));
+  std::vector<std::uint8_t> payload(bytes.begin(), bytes.end() - 4);
+  std::uint32_t fcs = 0;
+  for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
+    fcs = (fcs << 8) | bytes[i];
+  }
+  if (crc32(payload) != fcs) return std::nullopt;
+  return payload;
+}
+
+}  // namespace scatter_oracle
+
+enum class LlrFamily { kGaussian, kTernary, kZeros, kNonFinite, kHuge };
+
+// Soft values of one family: Gaussian around a transmitted codeword's
+// signs, quantized to {-1, 0, +1} (ties everywhere), all zeros (every path
+// ties), Gaussian with sprinkled ±inf and NaN, and magnitudes near 1e308
+// (path sums overflow to ±inf and inf - inf = NaN appears).
+std::vector<double> llr_family(LlrFamily family, std::size_t n,
+                               util::Rng& rng) {
+  std::vector<double> llr(n);
+  for (double& v : llr) {
+    const double sign = rng.uniform_int(2u) == 0 ? 1.0 : -1.0;
+    const double g = rng.gaussian();
+    switch (family) {
+      case LlrFamily::kGaussian:
+        v = sign * 1.5 + g;
+        break;
+      case LlrFamily::kTernary:
+        v = static_cast<double>(rng.uniform_int(3u)) - 1.0;
+        break;
+      case LlrFamily::kZeros:
+        v = 0.0;
+        break;
+      case LlrFamily::kNonFinite: {
+        const std::uint32_t pick = rng.uniform_int(16u);
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        v = pick == 0   ? kInf
+            : pick == 1 ? -kInf
+            : pick == 2 ? std::numeric_limits<double>::quiet_NaN()
+                        : sign + g;
+        break;
+      }
+      case LlrFamily::kHuge:
+        v = sign * (1.0 - 0.1 * rng.uniform()) * 1e308;
+        break;
+    }
+  }
+  return llr;
+}
+
+TEST(ViterbiDifferential, SoftDecodeMatchesScatterOracleByteForByte) {
+  util::Rng rng(0x5CA77E5);
+  const std::size_t lengths[] = {0, 1, 6, 7, 63, 64, 65, 12006};
+  const LlrFamily families[] = {LlrFamily::kGaussian, LlrFamily::kTernary,
+                                LlrFamily::kZeros, LlrFamily::kNonFinite,
+                                LlrFamily::kHuge};
+  for (const CodeRate rate :
+       {CodeRate::kRate1_2, CodeRate::kRate2_3, CodeRate::kRate3_4}) {
+    for (const std::size_t n_out : lengths) {
+      for (const LlrFamily family : families) {
+        const std::vector<double> llr =
+            llr_family(family, coded_length(n_out, rate), rng);
+        const Bits got = viterbi_decode_soft(llr, n_out, rate);
+        const Bits want = scatter_oracle::viterbi_decode_soft(llr, n_out, rate);
+        ASSERT_EQ(got, want) << "rate " << code_rate_value(rate) << " n_out "
+                             << n_out << " family "
+                             << static_cast<int>(family);
+      }
+    }
+  }
+}
+
+TEST(ViterbiDifferential, DecodePayloadMatchesScatterOracleEveryMcs) {
+  // Noise around each MCS's threshold, so some frames decode with residual
+  // errors and some fail the CRC: every verdict and every byte must match.
+  // The noise variance spans 20 dB across the first half of the symbols and
+  // the rest share the last one's, the layout decode_payload receives when
+  // it is given fewer variances than symbols; the same frames are also
+  // decoded with one shared variance and with none (unit variance).
+  util::Rng rng(0xDEC0DE);
+  for (const Mcs& mcs : mcs_table()) {
+    for (const double margin_db : {-2.0, 0.0, 2.0, 4.0}) {
+      std::vector<std::uint8_t> payload(300);
+      for (auto& b : payload) {
+        b = static_cast<std::uint8_t>(rng.uniform_int(256u));
+      }
+      std::vector<cdouble> symbols = encode_payload(payload, mcs);
+      const double nv = 1.0 / util::from_db(mcs.min_esnr_db + margin_db);
+      std::vector<double> per_symbol(symbols.size() / 2);
+      for (double& v : per_symbol) v = nv * std::pow(10.0, rng.uniform(-1, 1));
+      for (std::size_t i = 0; i < symbols.size(); ++i) {
+        symbols[i] += rng.cgaussian(
+            per_symbol[std::min(i, per_symbol.size() - 1)]);
+      }
+      for (const std::vector<double>& noise_var :
+           {per_symbol, std::vector<double>{nv}, std::vector<double>{}}) {
+        const auto got = decode_payload(symbols, noise_var, payload.size(), mcs);
+        const auto want = scatter_oracle::decode_payload(
+            symbols, noise_var, payload.size(), mcs);
+        ASSERT_EQ(got, want) << mcs.name() << " margin " << margin_db
+                             << " dB, " << noise_var.size() << " variances";
+      }
     }
   }
 }
