@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nKnobs to play with: DynamicsConfig in sim/session.h (mobility\n"
       "model/speeds, EvolutionConfig Doppler floor, churn rates, AARF\n"
-      "parameters). bench/dynamics_scale.cc sweeps the grid.\n");
+      "parameters). bench/configs/dynamics_smoke.cfg sweeps a grid with\n"
+      "nplus-bench.\n");
   return 0;
 }

@@ -113,14 +113,6 @@ struct FaultStats {
   std::vector<std::size_t> retry_histogram;
   util::RunningStats outage_s;    // crash-to-restart durations
   util::RunningStats recovery_s;  // link restart -> next ACKed frame
-
-  // Dropped / (completed + dropped); 0 when no frame ever finished.
-  double drop_rate() const {
-    const std::size_t total = frames_completed + frames_dropped;
-    return total > 0 ? static_cast<double>(frames_dropped) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
 };
 
 // Per-session fault plan + recovery state. One instance per session, fed by

@@ -79,8 +79,9 @@ struct DynamicsConfig {
 
 // Which MAC scheme a session's rounds run. kDot11n exists so fault sweeps
 // can put n+ and the stock baseline under the *identical* fault plan and
-// session accounting (bench/fault_sweep.cc) — it is the same 802.11n round
-// the RoundFn baseline evaluates, in the session engine's shape.
+// session accounting (Faults.GracefulDegradationAudit in
+// tests/test_faults.cc) — it is the same 802.11n round the RoundFn
+// baseline evaluates, in the session engine's shape.
 enum class Scheme {
   kNplus,
   kDot11n,

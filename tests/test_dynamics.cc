@@ -557,6 +557,16 @@ TEST(DynamicSession, BitIdenticalAcrossThreadCounts) {
     item.world.lazy_channels = i >= 2;
     items.push_back(item);
   }
+  // Fast clustered-hotspot motion: the session-level run of that model.
+  sim::SweepItem hotspot;
+  hotspot.gen.n_links = 6;
+  hotspot.session = dynamic_session_config();
+  hotspot.session.dynamics.mobility.model =
+      sim::MobilityModel::kClusteredHotspot;
+  hotspot.session.dynamics.mobility.speed_min_mps = 3.0;
+  hotspot.session.dynamics.mobility.speed_max_mps = 6.0;
+  hotspot.world.lazy_channels = true;
+  items.push_back(hotspot);
   const auto r1 = sweep(items, 99, 1);
   const auto r3 = sweep(items, 99, 3);
   const auto rn = sweep(items, 99, 0);

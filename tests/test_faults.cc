@@ -378,6 +378,99 @@ TEST(Faults, Dot11nSchemeRunsUnderFaults) {
   EXPECT_GT(r.faults.retransmissions, 0u);
 }
 
+// --- Graceful degradation ------------------------------------------------
+
+TEST(Faults, GracefulDegradationAudit) {
+  // The fault-sweep cell: three fault axes, each swept alone at four
+  // levels, for deferring n+, blind n+ and stock 802.11n, on a sparse
+  // 12-pair lazy floor (the paper's favorable joining regime) with the
+  // failure-aware MAC on at every level. Every cell rebuilds the identical
+  // topology, world and session stream from fixed seeds, so cells differ
+  // only in the injected fault plan. Two audits must hold:
+  //   * along each axis, goodput at the top level does not exceed the
+  //     clean level by more than 5% (faults never help);
+  //   * deferring n+ stays at >= 0.85x stock 802.11n at every level — a
+  //     deferring joiner IS an 802.11 station, so the residual gap can only
+  //     be the handshake + rate-margin overhead, never a collapse.
+  // The cell size matters: at 6 pairs x 16 rounds both audits are inside
+  // the small-sample noise (nplus/header_loss and dot11n/node_outage_hz
+  // goodput rise with the fault rate there).
+  const std::uint64_t kSeed = 4242;
+  struct SchemeCase {
+    const char* name;
+    sim::Scheme scheme;
+    bool header_fallback_defer;
+  };
+  const SchemeCase kSchemes[] = {
+      {"nplus", sim::Scheme::kNplus, true},
+      {"nplus_blind", sim::Scheme::kNplus, false},
+      {"dot11n", sim::Scheme::kDot11n, true},
+  };
+  const char* const kAxes[] = {"header_loss", "ack_loss", "node_outage_hz"};
+  const double kLevels[3][4] = {{0.0, 0.1, 0.25, 0.5},
+                                {0.0, 0.05, 0.15, 0.3},
+                                {0.0, 0.5, 1.0, 2.0}};
+
+  sim::GenConfig gen;
+  gen.n_links = 12;
+  gen.tx_mix.weights = {0.25, 0.35, 0.25, 0.15};
+  gen.rx_mix.weights = {0.25, 0.35, 0.25, 0.15};
+  gen.area_w_m = 60.0;
+  gen.area_h_m = 36.0;
+  gen.max_pair_distance_m = 8.0;
+  util::Rng topo_rng(kSeed);
+  const sim::GeneratedTopology topo = sim::generate_topology(gen, topo_rng);
+  sim::WorldConfig world_cfg;
+  world_cfg.lazy_channels = true;
+
+  // goodput[scheme][axis][level], Mb/s.
+  double goodput[3][3][4] = {};
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        sim::SessionConfig cfg;
+        cfg.n_rounds = 80;
+        cfg.inter_round_gap_s = 0.005;
+        cfg.snapshot_every = 0;
+        cfg.scheme = kSchemes[s].scheme;
+        cfg.faults.mac_recovery = true;
+        cfg.faults.header_fallback_defer = kSchemes[s].header_fallback_defer;
+        const double level = kLevels[a][l];
+        if (a == 0) cfg.faults.header_loss_rate = level;
+        if (a == 1) cfg.faults.ack_loss_rate = level;
+        if (a == 2) {
+          cfg.faults.node_outage_hz = level;
+          cfg.faults.node_recovery_hz = 10.0;
+        }
+        // Live sessions mutate their world: rebuild it per cell.
+        util::Rng world_rng(kSeed + 1);
+        sim::World world = sim::make_world(topo, world_rng, world_cfg);
+        util::Rng session_rng(kSeed + 2);
+        goodput[s][a][l] =
+            sim::run_session(world, topo.scenario, session_rng, cfg)
+                .goodput_mbps;
+        ASSERT_TRUE(std::isfinite(goodput[s][a][l]));
+        ASSERT_GT(goodput[s][a][l], 0.0);
+      }
+    }
+  }
+
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      EXPECT_LE(goodput[s][a][3], 1.05 * goodput[s][a][0])
+          << kSchemes[s].name << "/" << kAxes[a]
+          << " goodput rose with the fault rate";
+    }
+  }
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      EXPECT_GE(goodput[0][a][l], 0.85 * goodput[2][a][l])
+          << "nplus " << kAxes[a] << " " << kLevels[a][l]
+          << " fell below 802.11n";
+    }
+  }
+}
+
 // --- Config validation ---------------------------------------------------
 
 TEST(Validation, SessionConfigRejectsNonsense) {

@@ -208,17 +208,17 @@ struct ModePair {
   sim::SessionResult full_phy;
 };
 
-ModePair run_both_modes(sim::Preset preset, std::uint64_t seed,
-                        std::size_t n_rounds) {
+// One session per fidelity mode on `topo`, each on a freshly built world,
+// with the world and session streams forked identically from Rng(seed).
+ModePair run_both_modes(const sim::GeneratedTopology& topo,
+                        const sim::WorldConfig& world_cfg, std::uint64_t seed,
+                        sim::SessionConfig cfg) {
   ModePair out;
   for (int mode = 0; mode < 2; ++mode) {
     util::Rng rng(seed);
     util::Rng world_rng = rng.fork(11);
     util::Rng session_rng = rng.fork(12);
-    const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
-    sim::World world = sim::make_world(topo, world_rng);
-    sim::SessionConfig cfg;
-    cfg.n_rounds = n_rounds;
+    sim::World world = sim::make_world(topo, world_rng, world_cfg);
     cfg.round.fidelity =
         mode == 0 ? sim::Fidelity::kAbstracted : sim::Fidelity::kFullPhy;
     (mode == 0 ? out.abstracted : out.full_phy) =
@@ -236,7 +236,15 @@ TEST_P(FidelityAgreement, AbstractedMatchesFullPhy) {
   // fairness agree statistically. Tolerances cover the Monte-Carlo noise
   // of kRounds Bernoulli deliveries plus residual calibration error.
   const std::size_t kRounds = 150;
-  const ModePair r = run_both_modes(GetParam(), 42, kRounds);
+  const std::uint64_t kSeed = 42;
+  // The preset is drawn after run_both_modes' two stream forks.
+  util::Rng rng(kSeed);
+  (void)rng.fork(11);
+  (void)rng.fork(12);
+  const sim::GeneratedTopology topo = sim::make_preset(GetParam(), rng);
+  sim::SessionConfig cfg;
+  cfg.n_rounds = kRounds;
+  const ModePair r = run_both_modes(topo, {}, kSeed, cfg);
   const sim::SessionResult& a = r.abstracted;
   const sim::SessionResult& p = r.full_phy;
 
@@ -271,6 +279,49 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<sim::Preset>& param_info) {
       return sim::preset_name(param_info.param);
     });
+
+TEST(Fidelity, LazyHundredPairTraceIdenticalAcrossModes) {
+  // The same cross-mode contract on a generated 100-pair lazy world, far
+  // past the presets. SessionResult keeps no per-round log, so this
+  // compares every order-sensitive observable it does keep: the counts,
+  // the round-airtime distribution, and the sim clock at every periodic
+  // snapshot (a reordering of rounds with equal totals shifts the
+  // cumulative clock at some snapshot).
+  const std::uint64_t kSeed = 42;
+  sim::GenConfig gen;
+  gen.n_links = 100;
+  gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+  gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+  util::Rng rng(kSeed);
+  util::Rng topo_rng = rng.fork(1);
+  const sim::GeneratedTopology topo = sim::generate_topology(gen, topo_rng);
+  sim::WorldConfig lazy;
+  lazy.lazy_channels = true;
+  sim::SessionConfig cfg;
+  cfg.n_rounds = 32;
+  cfg.snapshot_every = 8;
+  const ModePair r = run_both_modes(topo, lazy, kSeed, cfg);
+  const sim::SessionResult& a = r.abstracted;
+  const sim::SessionResult& p = r.full_phy;
+
+  EXPECT_EQ(a.rounds, p.rounds);
+  EXPECT_EQ(a.duration_s, p.duration_s);
+  EXPECT_EQ(a.mean_winners_per_round, p.mean_winners_per_round);
+  EXPECT_EQ(a.mean_streams_per_round, p.mean_streams_per_round);
+  EXPECT_EQ(a.round_duration.mean(), p.round_duration.mean());
+  EXPECT_EQ(a.round_duration.min(), p.round_duration.min());
+  EXPECT_EQ(a.round_duration.max(), p.round_duration.max());
+  EXPECT_EQ(a.round_duration.stddev(), p.round_duration.stddev());
+  ASSERT_EQ(a.series.size(), 4u);
+  ASSERT_EQ(p.series.size(), a.series.size());
+  for (std::size_t i = 0; i < a.series.size(); ++i) {
+    EXPECT_EQ(a.series[i].t_s, p.series[i].t_s) << "snapshot " << i;
+    EXPECT_EQ(a.series[i].rounds, p.series[i].rounds) << "snapshot " << i;
+    EXPECT_EQ(a.series[i].join_rate, p.series[i].join_rate)
+        << "snapshot " << i;
+  }
+  EXPECT_GT(p.total_mbps, 0.0);
+}
 
 // --- Lazy world mode -----------------------------------------------------
 
@@ -354,29 +405,35 @@ TEST(LazyWorld, SessionsReproduceAcrossInstances) {
 }
 
 TEST(LazyWorld, LargeWorldSessionRunsCheaply) {
-  // The point of the mode: a 250-pair (500-node) world — far beyond the
-  // eager O(N^2)-pair ceiling — builds instantly and runs a session.
-  util::Rng master(7);
-  sim::GenConfig gen;
-  gen.n_links = 250;
-  gen.area_w_m = 47.0;  // keep density near the 100-pair default
-  gen.area_h_m = 28.0;
-  gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
-  gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
-  util::Rng topo_rng = master.fork(1);
-  util::Rng world_rng = master.fork(2);
-  util::Rng session_rng = master.fork(3);
-  const sim::GeneratedTopology topo = sim::generate_topology(gen, topo_rng);
-  sim::WorldConfig cfg;
-  cfg.lazy_channels = true;
-  sim::World world = sim::make_world(topo, world_rng, cfg);
-  sim::SessionConfig scfg;
-  scfg.n_rounds = 8;
-  const sim::SessionResult res =
-      sim::run_session(world, topo.scenario, session_rng, scfg);
-  EXPECT_EQ(res.rounds, 8u);
-  EXPECT_GT(res.total_mbps, 0.0);
-  EXPECT_GT(res.mean_winners_per_round, 0.0);
+  // The point of the mode: 250- and 500-pair worlds — far beyond the
+  // eager O(N^2)-pair ceiling — build instantly and run a session. The
+  // floor scales by sqrt(N/100) to keep the 100-pair default density.
+  for (const std::size_t n_links : {250u, 500u}) {
+    SCOPED_TRACE(n_links);
+    util::Rng master(7);
+    sim::GenConfig gen;
+    gen.n_links = n_links;
+    const double scale = std::sqrt(static_cast<double>(n_links) / 100.0);
+    gen.area_w_m *= scale;
+    gen.area_h_m *= scale;
+    gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+    gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+    util::Rng topo_rng = master.fork(1);
+    util::Rng world_rng = master.fork(2);
+    util::Rng session_rng = master.fork(3);
+    const sim::GeneratedTopology topo =
+        sim::generate_topology(gen, topo_rng);
+    sim::WorldConfig cfg;
+    cfg.lazy_channels = true;
+    sim::World world = sim::make_world(topo, world_rng, cfg);
+    sim::SessionConfig scfg;
+    scfg.n_rounds = 8;
+    const sim::SessionResult res =
+        sim::run_session(world, topo.scenario, session_rng, scfg);
+    EXPECT_EQ(res.rounds, 8u);
+    EXPECT_GT(res.total_mbps, 0.0);
+    EXPECT_GT(res.mean_winners_per_round, 0.0);
+  }
 }
 
 }  // namespace
