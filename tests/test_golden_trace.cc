@@ -3,7 +3,10 @@
 //
 // The fixtures pin the observable behavior of the whole stack — scenario
 // generation, world drawing, DCF contention, admission, precoding, rate
-// selection, and abstracted delivery scoring — for a fixed seed. Any
+// selection, and abstracted delivery scoring — for a fixed seed. The
+// living_cell fixture adds the dynamic path on top: an eager clustered cell
+// whose world moves (mobility, Doppler evolution, channel
+// rematerialization), churns and adapts rates (AARF) every round. Any
 // intentional behavior change (new calibration table, protocol tweak,
 // accounting fix) shifts them; regenerate deliberately with:
 //
@@ -49,17 +52,7 @@ struct GoldenTrace {
   std::vector<double> per_link_mbps;
 };
 
-GoldenTrace run_trace(sim::Preset preset) {
-  util::Rng rng(kSeed);
-  util::Rng world_rng = rng.fork(11);
-  util::Rng session_rng = rng.fork(12);
-  const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
-  sim::World world = sim::make_world(topo, world_rng);
-  sim::SessionConfig cfg;
-  cfg.n_rounds = kRounds;
-  cfg.round.fidelity = sim::Fidelity::kAbstracted;
-  const sim::SessionResult res =
-      sim::run_session(world, topo.scenario, session_rng, cfg);
+GoldenTrace summarize(const sim::SessionResult& res) {
   GoldenTrace t;
   t.rounds = res.rounds;
   t.duration_s = res.duration_s;
@@ -71,14 +64,54 @@ GoldenTrace run_trace(sim::Preset preset) {
   return t;
 }
 
-std::string golden_path(sim::Preset preset) {
-  return std::string(NPLUS_GOLDEN_DIR) + "/" + sim::preset_name(preset) +
-         ".json";
+GoldenTrace run_trace(sim::Preset preset) {
+  util::Rng rng(kSeed);
+  util::Rng world_rng = rng.fork(11);
+  util::Rng session_rng = rng.fork(12);
+  const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
+  sim::World world = sim::make_world(topo, world_rng);
+  sim::SessionConfig cfg;
+  cfg.n_rounds = kRounds;
+  cfg.round.fidelity = sim::Fidelity::kAbstracted;
+  return summarize(sim::run_session(world, topo.scenario, session_rng, cfg));
 }
 
-void write_golden(sim::Preset preset, const GoldenTrace& t) {
-  FILE* f = std::fopen(golden_path(preset).c_str(), "w");
-  ASSERT_NE(f, nullptr) << "cannot write " << golden_path(preset);
+// The living cell: a generated, eager, clustered 12-link cell with
+// pedestrian random-waypoint mobility, a 5 Hz environmental Doppler floor,
+// flow and node churn and AARF rate control, 20 ms between rounds — so
+// every round advances the world and rematerializes its channels.
+GoldenTrace run_living_cell() {
+  util::Rng rng(kSeed);
+  util::Rng world_rng = rng.fork(11);
+  util::Rng session_rng = rng.fork(12);
+  sim::GenConfig gen;
+  gen.n_links = 12;
+  gen.placement = sim::PlacementMode::kClustered;
+  gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+  gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+  const sim::GeneratedTopology topo = sim::generate_topology(gen, rng);
+  sim::World world = sim::make_world(topo, world_rng);
+  sim::SessionConfig cfg;
+  cfg.n_rounds = kRounds;
+  cfg.inter_round_gap_s = 0.02;
+  cfg.round.fidelity = sim::Fidelity::kAbstracted;
+  cfg.dynamics.mobility.model = sim::MobilityModel::kRandomWaypoint;
+  cfg.dynamics.evolution.env_doppler_hz = 5.0;
+  cfg.dynamics.churn.flow_arrival_hz = 1.5;
+  cfg.dynamics.churn.flow_departure_hz = 1.0;
+  cfg.dynamics.churn.node_leave_hz = 0.3;
+  cfg.dynamics.churn.node_return_hz = 1.0;
+  cfg.dynamics.use_rate_control = true;
+  return summarize(sim::run_session(world, topo.scenario, session_rng, cfg));
+}
+
+std::string golden_path(const std::string& name) {
+  return std::string(NPLUS_GOLDEN_DIR) + "/" + name + ".json";
+}
+
+void write_golden(const std::string& name, const GoldenTrace& t) {
+  FILE* f = std::fopen(golden_path(name).c_str(), "w");
+  ASSERT_NE(f, nullptr) << "cannot write " << golden_path(name);
   std::fprintf(f,
                "{\n"
                "  \"preset\": \"%s\",\n"
@@ -91,8 +124,7 @@ void write_golden(sim::Preset preset, const GoldenTrace& t) {
                "  \"joins_per_round\": %.17g,\n"
                "  \"streams_per_round\": %.17g,\n"
                "  \"per_link_mbps\": [",
-               sim::preset_name(preset),
-               static_cast<unsigned long long>(kSeed), t.rounds,
+               name.c_str(), static_cast<unsigned long long>(kSeed), t.rounds,
                t.duration_s, t.total_mbps, t.jain, t.joins_per_round,
                t.streams_per_round);
   for (std::size_t i = 0; i < t.per_link_mbps.size(); ++i) {
@@ -133,21 +165,18 @@ void expect_close(double actual, double golden, const char* what) {
   EXPECT_NEAR(actual, golden, tol) << what;
 }
 
-class GoldenTraceSuite : public ::testing::TestWithParam<sim::Preset> {};
-
-TEST_P(GoldenTraceSuite, MatchesCheckedInFixture) {
-  const sim::Preset preset = GetParam();
-  const GoldenTrace t = run_trace(preset);
-
+// Diffs `t` against tests/golden/<name>.json (or rewrites the fixture
+// under --update-golden).
+void check_golden(const std::string& name, const GoldenTrace& t) {
   if (g_update_golden) {
-    write_golden(preset, t);
-    std::printf("regenerated %s\n", golden_path(preset).c_str());
+    write_golden(name, t);
+    std::printf("regenerated %s\n", golden_path(name).c_str());
     return;
   }
 
-  std::ifstream in(golden_path(preset));
+  std::ifstream in(golden_path(name));
   ASSERT_TRUE(in.good())
-      << golden_path(preset)
+      << golden_path(name)
       << " missing — run ./test_golden_trace --update-golden";
   std::stringstream buf;
   buf << in.rdbuf();
@@ -170,6 +199,13 @@ TEST_P(GoldenTraceSuite, MatchesCheckedInFixture) {
   }
 }
 
+class GoldenTraceSuite : public ::testing::TestWithParam<sim::Preset> {};
+
+TEST_P(GoldenTraceSuite, MatchesCheckedInFixture) {
+  const sim::Preset preset = GetParam();
+  check_golden(sim::preset_name(preset), run_trace(preset));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, GoldenTraceSuite,
     ::testing::Values(sim::Preset::kThreePair, sim::Preset::kHiddenTerminal,
@@ -178,6 +214,10 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<sim::Preset>& param_info) {
       return sim::preset_name(param_info.param);
     });
+
+TEST(GoldenTrace, LivingCellMatchesCheckedInFixture) {
+  check_golden("living_cell", run_living_cell());
+}
 
 }  // namespace
 }  // namespace nplus
