@@ -25,7 +25,10 @@ With repetitions > 1 the adapter keeps the MINIMUM time per benchmark
 across repetitions — the standard robust estimator for wall-clock
 timing: transient background load can only inflate a measurement, never
 deflate it, so the min of several windows is the closest observable to
-the true cost on a shared runner.
+the true cost on a shared runner. The repetitions run randomly
+interleaved across benchmarks (--benchmark_enable_random_interleaving),
+so a speedup ratio's numerator and denominator windows are spread over
+the same stretch of wall clock rather than measured back to back.
 
 Usage:
   micro_bench_gate.py MICRO_BIN --config FILE.cfg --out FILE.json
@@ -90,7 +93,11 @@ def run_suite(micro_bin, cfg):
     if cfg["min_time"]:
         cmd.append(f"--benchmark_min_time={cfg['min_time']}")
     if cfg["repetitions"] > 1:
-        cmd.append(f"--benchmark_repetitions={cfg['repetitions']}")
+        # Interleave the repetitions of all benchmarks in random order, so
+        # a burst of host load lands on numerator and denominator windows
+        # alike instead of on one benchmark's back-to-back repetitions.
+        cmd += [f"--benchmark_repetitions={cfg['repetitions']}",
+                "--benchmark_enable_random_interleaving=true"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"micro_bench_gate: {' '.join(cmd)} exited "

@@ -1,5 +1,6 @@
 #include "channel/mimo_channel.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -63,33 +64,60 @@ MimoChannel::MimoChannel(std::size_t n_rx, std::size_t n_tx,
 MimoChannel::MimoChannel(std::vector<std::vector<Samples>> taps)
     : taps_(std::move(taps)) {}
 
-CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
-  const std::size_t bin =
-      k >= 0 ? static_cast<std::size_t>(k)
-             : fft_size - static_cast<std::size_t>(-k);
-  CMat h(n_rx(), n_tx());
-  for (std::size_t r = 0; r < n_rx(); ++r) {
-    for (std::size_t t = 0; t < n_tx(); ++t) {
-      cdouble acc{0.0, 0.0};
-      const auto& taps = taps_[r][t];
-      for (std::size_t l = 0; l < taps.size(); ++l) {
-        const double ang = -2.0 * std::numbers::pi *
-                           static_cast<double>(bin) * static_cast<double>(l) /
-                           static_cast<double>(fft_size);
-        acc += taps[l] * cdouble{std::cos(ang), std::sin(ang)};
-      }
-      h(r, t) = acc;
+SubcarrierTwiddles::SubcarrierTwiddles(std::span<const int> subcarriers,
+                                       std::size_t fft_size,
+                                       std::size_t n_taps)
+    : n_subcarriers_(subcarriers.size()),
+      n_taps_(n_taps),
+      w_(subcarriers.size() * n_taps) {
+  for (std::size_t s = 0; s < n_subcarriers_; ++s) {
+    const int k = subcarriers[s];
+    const std::size_t bin =
+        k >= 0 ? static_cast<std::size_t>(k)
+               : fft_size - static_cast<std::size_t>(-k);
+    for (std::size_t l = 0; l < n_taps_; ++l) {
+      const double ang = -2.0 * std::numbers::pi *
+                         static_cast<double>(bin) * static_cast<double>(l) /
+                         static_cast<double>(fft_size);
+      w_[s * n_taps_ + l] = cdouble{std::cos(ang), std::sin(ang)};
     }
   }
+}
+
+CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
+  std::size_t n_taps = 0;
+  for (const auto& row : taps_) {
+    for (const auto& pair : row) n_taps = std::max(n_taps, pair.size());
+  }
+  CMat h;
+  freq_responses_into(
+      SubcarrierTwiddles(std::span<const int>(&k, 1), fft_size, n_taps), &h,
+      nullptr);
   return h;
 }
 
-std::vector<CMat> MimoChannel::freq_responses(std::size_t fft_size) const {
-  std::vector<CMat> out(53);
-  for (int k = -26; k <= 26; ++k) {
-    out[static_cast<std::size_t>(k + 26)] = freq_response(k, fft_size);
+void MimoChannel::freq_responses_into(const SubcarrierTwiddles& tw,
+                                      CMat* fwd, CMat* rev) const {
+  const std::size_t n_r = n_rx();
+  const std::size_t n_t = n_tx();
+  const std::size_t n_sc = tw.n_subcarriers();
+  for (std::size_t s = 0; s < n_sc; ++s) {
+    fwd[s].resize(n_r, n_t);
+    if (rev != nullptr) rev[s].resize(n_t, n_r);
   }
-  return out;
+  for (std::size_t r = 0; r < n_r; ++r) {
+    for (std::size_t t = 0; t < n_t; ++t) {
+      const Samples& taps = taps_[r][t];
+      assert(taps.size() <= tw.n_taps());
+      for (std::size_t s = 0; s < n_sc; ++s) {
+        const cdouble* w = tw.row(s);
+        cdouble acc{0.0, 0.0};
+        for (std::size_t l = 0; l < taps.size(); ++l) acc += taps[l] * w[l];
+        fwd[s](r, t) = acc;
+        if (rev != nullptr) rev[s](t, r) = acc;
+      }
+    }
+  }
 }
 
 std::vector<Samples> MimoChannel::propagate(

@@ -14,6 +14,7 @@
 // the paper's measured 25-27 dB.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "linalg/mat.h"
@@ -24,6 +25,29 @@ namespace nplus::channel {
 using linalg::CMat;
 using linalg::cdouble;
 using Samples = std::vector<cdouble>;
+
+// DFT twiddles of a tapped delay line at a fixed list of logical OFDM
+// subcarriers on an `fft_size`-point grid: row s holds, for taps
+// l < n_taps, exp(j * ang) with ang = -2 * pi * bin_s * l / fft_size
+// (bin_s = k_s, or fft_size + k_s for negative k). Built once and shared by
+// every frequency response taken on that grid, so cos/sin run once per
+// (subcarrier, tap) instead of once per antenna pair and call.
+class SubcarrierTwiddles {
+ public:
+  SubcarrierTwiddles() = default;
+  SubcarrierTwiddles(std::span<const int> subcarriers, std::size_t fft_size,
+                     std::size_t n_taps);
+
+  std::size_t n_subcarriers() const { return n_subcarriers_; }
+  std::size_t n_taps() const { return n_taps_; }
+  // The n_taps twiddles of subcarrier s.
+  const cdouble* row(std::size_t s) const { return &w_[s * n_taps_]; }
+
+ private:
+  std::size_t n_subcarriers_ = 0;
+  std::size_t n_taps_ = 0;
+  std::vector<cdouble> w_;  // [s * n_taps + l]
+};
 
 struct ChannelProfile {
   // Office delay spreads are 50-150 ns; at the 10 MS/s testbed sample rate
@@ -50,11 +74,18 @@ class MimoChannel {
   std::size_t n_tx() const { return taps_.empty() ? 0 : taps_[0].size(); }
 
   // Frequency response at logical OFDM subcarrier k (-26..26) for an
-  // `fft_size`-point grid: an n_rx x n_tx matrix.
+  // `fft_size`-point grid: an n_rx x n_tx matrix. A one-subcarrier call of
+  // freq_responses_into.
   CMat freq_response(int k, std::size_t fft_size = 64) const;
 
-  // All 53 logical subcarriers at once (index k+26; DC present but unused).
-  std::vector<CMat> freq_responses(std::size_t fft_size = 64) const;
+  // Frequency responses at every subcarrier of `tw`, written in place:
+  // fwd[s] becomes the n_rx x n_tx response and, when rev is non-null,
+  // rev[s] its exact transpose (the reciprocal channel). Each entry is
+  // accumulated as sum over taps, in tap order, of taps[l] * tw.row(s)[l].
+  // Requires every tap list to fit in tw.n_taps(). Allocation-free once the
+  // destination matrices hold n_rx * n_tx entries.
+  void freq_responses_into(const SubcarrierTwiddles& tw, CMat* fwd,
+                           CMat* rev) const;
 
   // Propagates per-tx-antenna sample streams: output[rx] = sum_tx conv(x_tx,
   // taps[rx][tx]). Output length = input length + n_taps - 1.

@@ -64,7 +64,11 @@ World::World(const channel::Testbed& testbed,
   assert(nodes.size() == locations.size());
   assert(roles.empty() || roles.size() == nodes.size());
   const std::size_t n = nodes.size();
-  static const auto data_sc = phy::data_subcarriers();
+  // Testbed::make_channel draws every channel with the default profile.
+  twiddles_ = channel::SubcarrierTwiddles(phy::data_subcarriers(),
+                                          config.fft_size,
+                                          channel::ChannelProfile{}.n_taps);
+  assert(twiddles_.n_subcarriers() == kSubcarriers);
 
   if (config_.lazy_channels) {
     // Nothing is drawn up front: reserve a fork base whose children are
@@ -100,33 +104,11 @@ World::World(const channel::Testbed& testbed,
           locations[a], locations[b], nodes[a].n_antennas,
           nodes[b].n_antennas, rng);
 
-      channels_[a][b].resize(kSubcarriers);
-      channels_[b][a].resize(kSubcarriers);
-      for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        const CMat h = fwd.freq_response(data_sc[s], config.fft_size);
-        channels_[a][b][s] = h;                 // a -> b: N_b x M_a
-        channels_[b][a][s] = h.transpose();     // b -> a: reciprocity
-      }
+      // a -> b: N_b x M_a; b -> a: its transpose (reciprocity).
+      materialize(fwd, channels_[a][b], channels_[b][a]);
       pair_taps_.emplace(static_cast<std::uint64_t>(a) * n + b,
                          std::move(fwd));
-
-      // Pre-cancellation link SNR (mean channel entry power / noise).
-      double p = 0.0;
-      std::size_t cnt = 0;
-      for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        const CMat& h = channels_[a][b][s];
-        for (std::size_t r = 0; r < h.rows(); ++r) {
-          for (std::size_t c = 0; c < h.cols(); ++c) {
-            p += std::norm(h(r, c));
-            ++cnt;
-          }
-        }
-      }
-      const double snr =
-          util::to_db(std::max(p / static_cast<double>(cnt), 1e-30) /
-                      noise_power_);
-      link_snr_db_[a][b] = snr;
-      link_snr_db_[b][a] = snr;
+      store_eager_link_snr(a, b);
     }
   }
 
@@ -152,40 +134,38 @@ World::World(const channel::Testbed& testbed,
                                      config_.calibration_std);
         }
       }
-      recip_[a][b] = derive_beliefs(channels_[b][a], cal, rng_);
+      derive_beliefs(channels_[b][a], cal, rng_, recip_[a][b]);
       cal_.emplace(static_cast<std::uint64_t>(a) * n + b, std::move(cal));
     }
   }
 }
 
-CMat World::estimate_with(const CMat& true_channel, util::Rng& rng) const {
-  CMat est = true_channel;
-  if (config_.estimation_noise_scale <= 0.0) return est;
+void World::add_estimation_noise(CMat& m, util::Rng& rng) const {
+  if (config_.estimation_noise_scale <= 0.0) return;
   // LS estimate over the two LTF repetitions: error variance noise/2.
   const double var = config_.estimation_noise_scale * noise_power_ / 2.0;
-  for (std::size_t r = 0; r < est.rows(); ++r) {
-    for (std::size_t c = 0; c < est.cols(); ++c) {
-      est(r, c) += rng.cgaussian(var);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      m(r, c) += rng.cgaussian(var);
     }
   }
-  return est;
 }
 
-std::vector<CMat> World::derive_beliefs(const std::vector<CMat>& rev_chan,
-                                        const CMat& cal,
-                                        util::Rng& rng) const {
-  std::vector<CMat> beliefs(kSubcarriers);
+void World::derive_beliefs(const std::vector<CMat>& rev_chan,
+                           const CMat& cal, util::Rng& rng,
+                           std::vector<CMat>& beliefs) const {
+  beliefs.resize(kSubcarriers);
   for (std::size_t s = 0; s < kSubcarriers; ++s) {
-    const CMat est_rev = estimate_with(rev_chan[s], rng);  // M_a x N_b
-    CMat belief = est_rev.transpose();                     // N_b x M_a
-    for (std::size_t r = 0; r < belief.rows(); ++r) {
-      for (std::size_t c = 0; c < belief.cols(); ++c) {
-        belief(r, c) *= cal(r, c);
+    CMat est = rev_chan[s];  // M_a x N_b
+    add_estimation_noise(est, rng);
+    CMat& belief = beliefs[s];  // N_b x M_a: transposed, times calibration
+    belief.resize(est.cols(), est.rows());
+    for (std::size_t r = 0; r < est.rows(); ++r) {
+      for (std::size_t c = 0; c < est.cols(); ++c) {
+        belief(c, r) = est(r, c) * cal(c, r);
       }
     }
-    beliefs[s] = std::move(belief);
   }
-  return beliefs;
 }
 
 const CMat& World::channel(std::size_t a, std::size_t b,
@@ -212,7 +192,6 @@ const std::vector<CMat>& World::lazy_channel(std::size_t a,
   const std::uint64_t key = static_cast<std::uint64_t>(lo) * n + hi;
   auto it = lazy_pairs_.find(key);
   if (it == lazy_pairs_.end()) {
-    static const auto data_sc = phy::data_subcarriers();
     // Copy-then-fork: lazy_base_ itself never advances, so the child
     // stream depends only on the pair label, never on access order.
     util::Rng base = lazy_base_.duplicate();
@@ -243,13 +222,7 @@ const std::vector<CMat>& World::lazy_channel(std::size_t a,
       fwd.scale_gain(util::from_db(-dyn.shadow_offset_db()));
     }
     LazyPair entry;
-    entry.fwd.resize(kSubcarriers);
-    entry.rev.resize(kSubcarriers);
-    for (std::size_t s = 0; s < kSubcarriers; ++s) {
-      const CMat h = fwd.freq_response(data_sc[s], config_.fft_size);
-      entry.fwd[s] = h;
-      entry.rev[s] = h.transpose();
-    }
+    materialize(fwd, entry.fwd, entry.rev);
     entry.taps = std::move(fwd);
     it = lazy_pairs_.emplace(key, std::move(entry)).first;
   }
@@ -318,7 +291,8 @@ const std::vector<CMat>& World::lazy_recip(std::size_t a,
                                         config_.calibration_std);
       }
     }
-    std::vector<CMat> beliefs = derive_beliefs(rev_chan, cal, recip_rng);
+    std::vector<CMat> beliefs;
+    derive_beliefs(rev_chan, cal, recip_rng, beliefs);
     cal_.emplace(static_cast<std::uint64_t>(a) * n + b, std::move(cal));
     it = lazy_recip_.emplace(key, std::move(beliefs)).first;
   }
@@ -326,7 +300,9 @@ const std::vector<CMat>& World::lazy_recip(std::size_t a,
 }
 
 CMat World::estimate(const CMat& true_channel) const {
-  return estimate_with(true_channel, rng_);
+  CMat est = true_channel;
+  add_estimation_noise(est, rng_);
+  return est;
 }
 
 const CMat& World::reciprocal_channel(std::size_t a, std::size_t b,
@@ -345,29 +321,21 @@ const channel::Location& World::node_position(std::size_t node) const {
   return testbed_.location(locations_[node]);
 }
 
-void World::rematerialize_pair(std::uint64_t key,
-                               const channel::MimoChannel& ch) {
-  const std::size_t n = nodes_.size();
-  const std::size_t lo = static_cast<std::size_t>(key / n);
-  const std::size_t hi = static_cast<std::size_t>(key % n);
-  static const auto data_sc = phy::data_subcarriers();
+void World::materialize(const channel::MimoChannel& ch,
+                        std::vector<CMat>& fwd,
+                        std::vector<CMat>& rev) const {
+  fwd.resize(kSubcarriers);
+  rev.resize(kSubcarriers);
+  ch.freq_responses_into(twiddles_, fwd.data(), rev.data());
+}
 
-  if (config_.lazy_channels) {
-    LazyPair& entry = lazy_pairs_[key];
-    for (std::size_t s = 0; s < kSubcarriers; ++s) {
-      const CMat h = ch.freq_response(data_sc[s], config_.fft_size);
-      entry.fwd[s] = h;
-      entry.rev[s] = h.transpose();
-    }
-    return;
-  }
-
+void World::store_eager_link_snr(std::size_t lo, std::size_t hi) {
+  // Pre-cancellation link SNR (mean channel entry power / noise). It
+  // averages the realized fading, so under advance() it tracks the evolved
+  // channel, not just the budget.
   double p = 0.0;
   std::size_t cnt = 0;
-  for (std::size_t s = 0; s < kSubcarriers; ++s) {
-    const CMat h = ch.freq_response(data_sc[s], config_.fft_size);
-    channels_[lo][hi][s] = h;
-    channels_[hi][lo][s] = h.transpose();
+  for (const CMat& h : channels_[lo][hi]) {
     for (std::size_t r = 0; r < h.rows(); ++r) {
       for (std::size_t c = 0; c < h.cols(); ++c) {
         p += std::norm(h(r, c));
@@ -375,12 +343,24 @@ void World::rematerialize_pair(std::uint64_t key,
       }
     }
   }
-  // Eager convention: link SNR averages the realized fading (as in the
-  // constructor), so it tracks the evolved channel, not just the budget.
   const double snr = util::to_db(
       std::max(p / static_cast<double>(cnt), 1e-30) / noise_power_);
   link_snr_db_[lo][hi] = snr;
   link_snr_db_[hi][lo] = snr;
+}
+
+void World::rematerialize_pair(std::uint64_t key,
+                               const channel::MimoChannel& ch) {
+  if (config_.lazy_channels) {
+    LazyPair& entry = lazy_pairs_[key];
+    materialize(ch, entry.fwd, entry.rev);
+    return;
+  }
+  const std::size_t n = nodes_.size();
+  const std::size_t lo = static_cast<std::size_t>(key / n);
+  const std::size_t hi = static_cast<std::size_t>(key % n);
+  materialize(ch, channels_[lo][hi], channels_[hi][lo]);
+  store_eager_link_snr(lo, hi);
 }
 
 void World::advance(const std::vector<channel::Location>& positions,
@@ -489,12 +469,12 @@ void World::refresh_csi(std::size_t a, std::size_t b, util::Rng& rng) {
     auto it = lazy_recip_.find(rkey);
     if (it == lazy_recip_.end()) return;  // never measured; stays lazy
     assert(cal_it != cal_.end());
-    it->second = derive_beliefs(lazy_channel(b, a), cal_it->second, rng);
+    derive_beliefs(lazy_channel(b, a), cal_it->second, rng, it->second);
     return;
   }
   if (recip_[a][b].empty()) return;
   assert(cal_it != cal_.end());
-  recip_[a][b] = derive_beliefs(channels_[b][a], cal_it->second, rng);
+  derive_beliefs(channels_[b][a], cal_it->second, rng, recip_[a][b]);
 }
 
 }  // namespace nplus::sim

@@ -171,13 +171,21 @@ class World {
   const std::vector<CMat>& lazy_recip(std::size_t a, std::size_t b) const;
   double lazy_link_snr_db(std::size_t a, std::size_t b) const;
 
-  // Estimation noise from an explicit stream (refresh_csi / belief
-  // derivation); estimate() keeps using the world's own stream.
-  CMat estimate_with(const CMat& true_channel, util::Rng& rng) const;
+  // Adds LS estimation noise to every entry of m, in row-major order, from
+  // `rng`: estimate() passes the world's own stream, belief derivation an
+  // explicit one.
+  void add_estimation_noise(CMat& m, util::Rng& rng) const;
   // Belief a -> b from the current reverse channel + a fixed calibration
-  // matrix: shared by the lazy materialization path and refresh_csi.
-  std::vector<CMat> derive_beliefs(const std::vector<CMat>& rev_chan,
-                                   const CMat& cal, util::Rng& rng) const;
+  // matrix, written into `beliefs` (reusing its matrices): shared by both
+  // materialization paths and refresh_csi.
+  void derive_beliefs(const std::vector<CMat>& rev_chan, const CMat& cal,
+                      util::Rng& rng, std::vector<CMat>& beliefs) const;
+  // The one channel-materialization kernel: writes a pair's kSubcarriers
+  // forward matrices (lo -> hi) and their exact transposes in place.
+  void materialize(const channel::MimoChannel& ch, std::vector<CMat>& fwd,
+                   std::vector<CMat>& rev) const;
+  // Eager mode: link SNR of the pair from its realized fading.
+  void store_eager_link_snr(std::size_t lo, std::size_t hi);
   // Re-derives per-subcarrier matrices (and, eager mode, link SNR) for a
   // pair whose taps changed under advance().
   void rematerialize_pair(std::uint64_t key, const channel::MimoChannel& ch);
@@ -191,6 +199,8 @@ class World {
   // recip_[a][b][sc]: a's belief about channel a -> b.
   std::vector<std::vector<std::vector<CMat>>> recip_;
   std::vector<std::vector<double>> link_snr_db_;
+  // DFT twiddles of the data subcarriers on config_.fft_size's grid.
+  channel::SubcarrierTwiddles twiddles_;
 
   // Geometry (all modes; the dynamics engine moves testbed_ locations).
   channel::Testbed testbed_{std::vector<channel::Location>{}};

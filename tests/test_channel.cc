@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "channel/mimo_channel.h"
 #include "channel/pathloss.h"
 #include "channel/scene.h"
 #include "channel/testbed.h"
 #include "dsp/signal.h"
+#include "phy/ofdm_params.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -130,6 +133,63 @@ TEST(MimoChannel, FreqResponseMatchesTapDft) {
       expected += taps[l] * linalg::cdouble{std::cos(ang), std::sin(ang)};
     }
     EXPECT_NEAR(std::abs(ch.freq_response(k)(0, 0) - expected), 0.0, 1e-12);
+  }
+}
+
+// The direct per-call DFT the twiddle-table kernel replaced, kept verbatim
+// as the bitwise reference: cos/sin of the literal angle expression, then
+// one complex multiply-accumulate per tap in tap order.
+linalg::cdouble direct_dft(const Samples& taps, int k, std::size_t fft_size) {
+  const std::size_t bin =
+      k >= 0 ? static_cast<std::size_t>(k)
+             : fft_size - static_cast<std::size_t>(-k);
+  linalg::cdouble acc{0.0, 0.0};
+  for (std::size_t l = 0; l < taps.size(); ++l) {
+    const double ang = -2.0 * std::numbers::pi * static_cast<double>(bin) *
+                       static_cast<double>(l) /
+                       static_cast<double>(fft_size);
+    acc += taps[l] * linalg::cdouble{std::cos(ang), std::sin(ang)};
+  }
+  return acc;
+}
+
+TEST(MimoChannel, TableResponsesBitIdenticalToDirectDft) {
+  const auto data_sc = phy::data_subcarriers();
+  ChannelProfile nlos;
+  ChannelProfile los;
+  los.line_of_sight = true;
+  ChannelProfile long_nlos;
+  long_nlos.n_taps = 6;
+  util::Rng rng(55);
+  for (const ChannelProfile& profile : {nlos, los, long_nlos}) {
+    for (std::size_t fft_size : {64u, 128u}) {
+      const SubcarrierTwiddles tw(data_sc, fft_size, profile.n_taps);
+      ASSERT_EQ(tw.n_subcarriers(), data_sc.size());
+      for (std::size_t n_rx = 1; n_rx <= 4; ++n_rx) {
+        for (std::size_t n_tx = 1; n_tx <= 4; ++n_tx) {
+          const MimoChannel ch(n_rx, n_tx, 0.3, profile, rng);
+          std::vector<CMat> fwd(data_sc.size());
+          std::vector<CMat> rev(data_sc.size());
+          ch.freq_responses_into(tw, fwd.data(), rev.data());
+          for (std::size_t s = 0; s < data_sc.size(); ++s) {
+            ASSERT_EQ(fwd[s].rows(), n_rx);
+            ASSERT_EQ(fwd[s].cols(), n_tx);
+            ASSERT_EQ(rev[s].rows(), n_tx);
+            ASSERT_EQ(rev[s].cols(), n_rx);
+            const CMat one = ch.freq_response(data_sc[s], fft_size);
+            for (std::size_t r = 0; r < n_rx; ++r) {
+              for (std::size_t t = 0; t < n_tx; ++t) {
+                const linalg::cdouble want =
+                    direct_dft(ch.taps()[r][t], data_sc[s], fft_size);
+                EXPECT_EQ(fwd[s](r, t), want);
+                EXPECT_EQ(rev[s](t, r), fwd[s](r, t));
+                EXPECT_EQ(one(r, t), want);
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include "sim/scenario_gen.h"
 #include "sim/session.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace nplus {
 namespace {
@@ -378,6 +379,66 @@ TEST(WorldDynamics, LazyWorldAdvanceIsDeterministicAndConsistent) {
   (void)c.world.channel(4, 5, 0);
   c.world.advance(moved, speeds, 2.0, evo, dc);
   EXPECT_NEAR(c.world.link_snr_db(4, 5), a.world.link_snr_db(4, 5), 1e-9);
+}
+
+TEST(WorldDynamics, AdvanceKeepsExactReciprocityAndSnr) {
+  // After motion + Doppler advances, every materialized pair's reverse
+  // channel is bit-for-bit the transpose of its forward channel, and (eager
+  // world) the advertised link SNR is exactly the mean channel power of the
+  // rematerialized matrices.
+  for (const bool lazy : {false, true}) {
+    WorldFixture f(91, lazy);
+    const auto& roles = f.topo.roles;
+    const std::size_t n = roles.size();
+    const auto active = [&](std::size_t a, std::size_t b) {
+      return ((roles[a] & sim::kRoleTx) && (roles[b] & sim::kRoleRx)) ||
+             ((roles[b] & sim::kRoleTx) && (roles[a] & sim::kRoleRx));
+    };
+    // Lazy pairs only evolve once materialized: touch every one first.
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (active(a, b)) (void)f.world.channel(a, b, 0);
+      }
+    }
+    channel::EvolutionConfig evo;
+    evo.env_doppler_hz = 30.0;
+    util::Rng dyn(17);
+    auto pos = f.positions;
+    std::vector<double> speeds(n, 1.2);
+    for (int step = 1; step <= 4; ++step) {
+      for (std::size_t i = 0; i < n; ++i) {
+        pos[i].x_m += 0.3 * static_cast<double>(step);
+        pos[i].y_m += 0.1 * static_cast<double>(i % 3);
+      }
+      f.world.advance(pos, speeds, 0.02, evo, dyn);
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (!active(a, b)) continue;
+        double p = 0.0;
+        std::size_t cnt = 0;
+        for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+          const CMat& h = f.world.channel(a, b, s);
+          const CMat& hr = f.world.channel(b, a, s);
+          ASSERT_EQ(hr.rows(), h.cols());
+          ASSERT_EQ(hr.cols(), h.rows());
+          for (std::size_t r = 0; r < h.rows(); ++r) {
+            for (std::size_t c = 0; c < h.cols(); ++c) {
+              EXPECT_EQ(hr(c, r), h(r, c)) << "lazy=" << lazy;
+              p += std::norm(h(r, c));
+              ++cnt;
+            }
+          }
+        }
+        if (lazy) continue;  // lazy SNRs are budget numbers, not fading
+        const double snr = util::to_db(
+            std::max(p / static_cast<double>(cnt), 1e-30) /
+            f.world.noise_power());
+        EXPECT_EQ(f.world.link_snr_db(a, b), snr);
+        EXPECT_EQ(f.world.link_snr_db(b, a), snr);
+      }
+    }
+  }
 }
 
 // --- Churn mask at the round level --------------------------------------
