@@ -6,7 +6,9 @@
 // selection, and abstracted delivery scoring — for a fixed seed. The
 // living_cell fixture adds the dynamic path on top: an eager clustered cell
 // whose world moves (mobility, Doppler evolution, channel
-// rematerialization), churns and adapts rates (AARF) every round. Any
+// rematerialization), churns and adapts rates (AARF) every round;
+// lazy_living_cell runs the same cell on a lazy world, so pairs first read
+// after motion must realize the drift the world advertised for them. Any
 // intentional behavior change (new calibration table, protocol tweak,
 // accounting fix) shifts them; regenerate deliberately with:
 //
@@ -79,8 +81,10 @@ GoldenTrace run_trace(sim::Preset preset) {
 // The living cell: a generated, eager, clustered 12-link cell with
 // pedestrian random-waypoint mobility, a 5 Hz environmental Doppler floor,
 // flow and node churn and AARF rate control, 20 ms between rounds — so
-// every round advances the world and rematerializes its channels.
-GoldenTrace run_living_cell() {
+// every round advances the world and rematerializes its channels. `lazy`
+// builds the same topology as a lazy world (a different stream layout, so
+// a different fixture).
+GoldenTrace run_living_cell(bool lazy) {
   util::Rng rng(kSeed);
   util::Rng world_rng = rng.fork(11);
   util::Rng session_rng = rng.fork(12);
@@ -90,7 +94,9 @@ GoldenTrace run_living_cell() {
   gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
   gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
   const sim::GeneratedTopology topo = sim::generate_topology(gen, rng);
-  sim::World world = sim::make_world(topo, world_rng);
+  sim::WorldConfig world_cfg;
+  world_cfg.lazy_channels = lazy;
+  sim::World world = sim::make_world(topo, world_rng, world_cfg);
   sim::SessionConfig cfg;
   cfg.n_rounds = kRounds;
   cfg.inter_round_gap_s = 0.02;
@@ -216,7 +222,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(GoldenTrace, LivingCellMatchesCheckedInFixture) {
-  check_golden("living_cell", run_living_cell());
+  check_golden("living_cell", run_living_cell(/*lazy=*/false));
+}
+
+TEST(GoldenTrace, LazyLivingCellMatchesCheckedInFixture) {
+  check_golden("lazy_living_cell", run_living_cell(/*lazy=*/true));
 }
 
 }  // namespace
