@@ -282,37 +282,59 @@ TEST(WorldDynamics, MotionShiftsLinkSnr) {
 }
 
 TEST(WorldDynamics, BeliefsGoStaleAndRefreshRecovers) {
-  WorldFixture f(42);
-  // Warm the belief cache, then decorrelate the channel completely.
-  (void)f.world.reciprocal_channel(0, 1, 0);
-  channel::EvolutionConfig evo;
-  evo.env_doppler_hz = 500.0;  // rho ~ 0 at dt = 50 ms
-  util::Rng dyn(5);
-  for (int i = 0; i < 3; ++i) {
-    f.world.advance(f.positions, f.speeds, 0.05, evo, dyn);
-  }
-  const auto rel_err = [&] {
-    double num = 0.0, den = 0.0;
+  for (const bool lazy : {false, true}) {
+    WorldFixture f(42, lazy);
+    // Warm the belief cache, then decorrelate the channel completely.
+    (void)f.world.reciprocal_channel(0, 1, 0);
+    channel::EvolutionConfig evo;
+    evo.env_doppler_hz = 500.0;  // rho ~ 0 at dt = 50 ms
+    util::Rng dyn(5);
+    for (int i = 0; i < 3; ++i) {
+      f.world.advance(f.positions, f.speeds, 0.05, evo, dyn);
+    }
+    const auto rel_err = [&] {
+      double num = 0.0, den = 0.0;
+      for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+        const CMat& h = f.world.channel(0, 1, s);
+        const CMat& b = f.world.reciprocal_channel(0, 1, s);
+        for (std::size_t r = 0; r < h.rows(); ++r) {
+          for (std::size_t c = 0; c < h.cols(); ++c) {
+            num += std::norm(b(r, c) - h(r, c));
+            den += std::norm(h(r, c));
+          }
+        }
+      }
+      return num / den;
+    };
+    const double stale = rel_err();
+    f.world.refresh_csi(0, 1, dyn);
+    const double fresh = rel_err();
+    // A fully decorrelated belief is ~200% off in power; a re-measured one
+    // only carries estimation + calibration noise (a few percent).
+    EXPECT_GT(stale, 0.5) << "lazy=" << lazy;
+    EXPECT_LT(fresh, 0.1) << "lazy=" << lazy;
+    EXPECT_LT(fresh, stale / 5.0) << "lazy=" << lazy;
+    if (!lazy) continue;
+
+    // A lazy belief that was never measured stays unmeasured: refreshing it
+    // draws nothing, and its first read is exactly a fresh world's (pair
+    // (2,3) never entered the dynamics ledger, and nothing moved).
+    util::Rng probe = dyn.duplicate();
+    f.world.refresh_csi(2, 3, dyn);
+    EXPECT_EQ(dyn.uniform(), probe.uniform());
+    const WorldFixture ref(42, /*lazy=*/true);
     for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
-      const CMat& h = f.world.channel(0, 1, s);
-      const CMat& b = f.world.reciprocal_channel(0, 1, s);
-      for (std::size_t r = 0; r < h.rows(); ++r) {
-        for (std::size_t c = 0; c < h.cols(); ++c) {
-          num += std::norm(b(r, c) - h(r, c));
-          den += std::norm(h(r, c));
+      const CMat& got = f.world.reciprocal_channel(2, 3, s);
+      const CMat& want = ref.world.reciprocal_channel(2, 3, s);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.cols(), want.cols());
+      for (std::size_t r = 0; r < got.rows(); ++r) {
+        for (std::size_t c = 0; c < got.cols(); ++c) {
+          EXPECT_EQ(got(r, c), want(r, c));
         }
       }
     }
-    return num / den;
-  };
-  const double stale = rel_err();
-  f.world.refresh_csi(0, 1, dyn);
-  const double fresh = rel_err();
-  // A fully decorrelated belief is ~200% off in power; a re-measured one
-  // only carries estimation + calibration noise (a few percent).
-  EXPECT_GT(stale, 0.5);
-  EXPECT_LT(fresh, 0.1);
-  EXPECT_LT(fresh, stale / 5.0);
+  }
 }
 
 TEST(WorldDynamics, LazyWorldAdvanceIsDeterministicAndConsistent) {
@@ -379,6 +401,40 @@ TEST(WorldDynamics, LazyWorldAdvanceIsDeterministicAndConsistent) {
   (void)c.world.channel(4, 5, 0);
   c.world.advance(moved, speeds, 2.0, evo, dc);
   EXPECT_NEAR(c.world.link_snr_db(4, 5), a.world.link_snr_db(4, 5), 1e-9);
+}
+
+TEST(WorldDynamics, LateLazyChannelRealizesAdvertisedDrift) {
+  // Exact form of the late-materialization check above. World a enters
+  // pair (4,5) in the dynamics ledger by reading its SNR; world c does not.
+  // After the same move, both first read the pair's channel at the same
+  // geometry from the same pair stream, so their channels differ only by
+  // the shadowing drift a's ledger accumulated — which is exactly the gap
+  // between the SNRs the two worlds advertise.
+  WorldFixture a(77, /*lazy=*/true), c(77, /*lazy=*/true);
+  (void)a.world.link_snr_db(4, 5);
+  auto moved = a.positions;
+  moved[5] = {moved[5].x_m + 6.0, moved[5].y_m + 2.0};
+  util::Rng da(9), dc(9);
+  a.world.advance(moved, a.speeds, 2.0, {}, da);
+  c.world.advance(moved, c.speeds, 2.0, {}, dc);
+  const auto power = [](const sim::World& w) {
+    double p = 0.0;
+    for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+      const CMat& h = w.channel(4, 5, s);
+      for (std::size_t r = 0; r < h.rows(); ++r) {
+        for (std::size_t col = 0; col < h.cols(); ++col) {
+          p += std::norm(h(r, col));
+        }
+      }
+    }
+    return p;
+  };
+  const double realized_gap_db =
+      10.0 * std::log10(power(a.world) / power(c.world));
+  const double advertised_gap_db =
+      a.world.link_snr_db(4, 5) - c.world.link_snr_db(4, 5);
+  EXPECT_GT(std::abs(advertised_gap_db), 0.1);  // the move drew drift
+  EXPECT_NEAR(realized_gap_db, advertised_gap_db, 1e-9);
 }
 
 TEST(WorldDynamics, AdvanceKeepsExactReciprocityAndSnr) {

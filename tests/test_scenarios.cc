@@ -181,23 +181,27 @@ TEST(SparseWorld, MaterializesExactlyTxRxPairs) {
   cfg.n_links = 6;
   util::Rng rng(7);
   const GeneratedTopology topo = generate_topology(cfg, rng);
-  util::Rng wrng(8);
-  const World w = make_world(topo, wrng);
-  // Every transmitter-to-receiver pair (not just same-link pairs) exists:
-  // the round builder needs cross-link interference channels.
-  for (std::size_t a = 0; a < topo.roles.size(); ++a) {
-    for (std::size_t b = 0; b < topo.roles.size(); ++b) {
-      if (a == b) continue;
-      if ((topo.roles[a] & kRoleTx) && (topo.roles[b] & kRoleRx)) {
-        const linalg::CMat& h = w.channel(a, b, 0);
-        EXPECT_EQ(h.rows(), w.antennas(b));
-        EXPECT_EQ(h.cols(), w.antennas(a));
-        EXPECT_GT(w.link_snr_db(a, b), -300.0);
-        const linalg::CMat& r = w.reciprocal_channel(a, b, 0);
-        EXPECT_EQ(r.rows(), w.antennas(b));
-      } else if (!(topo.roles[b] & kRoleTx)) {
-        // rx-rx pair: unmaterialized, SNR stays at the floor.
-        EXPECT_DOUBLE_EQ(w.link_snr_db(a, b), -300.0);
+  for (const bool lazy : {false, true}) {
+    util::Rng wrng(8);
+    WorldConfig wcfg;
+    wcfg.lazy_channels = lazy;
+    const World w = make_world(topo, wrng, wcfg);
+    // Every transmitter-to-receiver pair (not just same-link pairs) exists:
+    // the round builder needs cross-link interference channels.
+    for (std::size_t a = 0; a < topo.roles.size(); ++a) {
+      for (std::size_t b = 0; b < topo.roles.size(); ++b) {
+        if (a == b) continue;
+        if ((topo.roles[a] & kRoleTx) && (topo.roles[b] & kRoleRx)) {
+          const linalg::CMat& h = w.channel(a, b, 0);
+          EXPECT_EQ(h.rows(), w.antennas(b));
+          EXPECT_EQ(h.cols(), w.antennas(a));
+          EXPECT_GT(w.link_snr_db(a, b), -300.0);
+          const linalg::CMat& r = w.reciprocal_channel(a, b, 0);
+          EXPECT_EQ(r.rows(), w.antennas(b));
+        } else if (!(topo.roles[b] & kRoleTx)) {
+          // rx-rx pair: unmaterialized, SNR stays at the floor.
+          EXPECT_DOUBLE_EQ(w.link_snr_db(a, b), -300.0) << "lazy=" << lazy;
+        }
       }
     }
   }
