@@ -23,6 +23,12 @@ bool pair_active(const std::vector<std::uint8_t>& roles, std::size_t a,
          ((roles[b] & kRoleTx) && (roles[a] & kRoleRx));
 }
 
+// A belief is only ever read from a transmitter about a receiver.
+bool belief_active(const std::vector<std::uint8_t>& roles, std::size_t a,
+                   std::size_t b) {
+  return roles.empty() || ((roles[a] & kRoleTx) && (roles[b] & kRoleRx));
+}
+
 }  // namespace
 
 World::World(const channel::Testbed& testbed,
@@ -77,38 +83,25 @@ World::World(const channel::Testbed& testbed,
     return;
   }
 
-  channels_.assign(n, std::vector<std::vector<CMat>>(n));
-  recip_.assign(n, std::vector<std::vector<CMat>>(n));
-  link_snr_db_.assign(n, std::vector<double>(n, -300.0));
-
   // Draw one physical channel per unordered pair; the reverse direction is
   // its exact transpose (electromagnetic reciprocity). The tap-domain
-  // channel is retained (pair_taps_) so advance() can evolve it later.
+  // channel is retained so advance() can evolve it later.
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
       if (!pair_active(roles, a, b)) continue;
-      // Dynamics ledger entry. The realized shadowing draw is recovered by
-      // peeking a COPY of the stream (link_gain is the first draw
-      // make_channel makes), so the real stream is untouched.
-      {
-        PairDyn dyn;
-        dyn.prev_dist_m = testbed.distance_m(locations[a], locations[b]);
-        util::Rng peek = rng.duplicate();
-        const double loss_db = -util::to_db(std::max(
-            testbed.link_gain(locations[a], locations[b], peek), 1e-300));
-        dyn.shadow_s0_db =
-            loss_db - testbed.path_loss().median_loss_db(dyn.prev_dist_m);
-        dyn_.emplace(static_cast<std::uint64_t>(a) * n + b, dyn);
-      }
-      channel::MimoChannel fwd = testbed.make_channel(
-          locations[a], locations[b], nodes[a].n_antennas,
-          nodes[b].n_antennas, rng);
-
-      // a -> b: N_b x M_a; b -> a: its transpose (reciprocity).
-      materialize(fwd, channels_[a][b], channels_[b][a]);
-      pair_taps_.emplace(static_cast<std::uint64_t>(a) * n + b,
-                         std::move(fwd));
-      store_eager_link_snr(a, b);
+      Pair p;
+      // Peek a COPY of the stream: the real one is untouched.
+      util::Rng peek = rng.duplicate();
+      p.dyn = new_dyn(a, b, peek);
+      p.taps = testbed.make_channel(locations[a], locations[b],
+                                    nodes[a].n_antennas, nodes[b].n_antennas,
+                                    rng);
+      materialize(p);
+      // Allocate the belief slots now, so the record goes into the table
+      // finished and the belief pass below only draws into it.
+      p.belief[0].sc.resize(belief_active(roles, a, b) ? kSubcarriers : 0);
+      p.belief[1].sc.resize(belief_active(roles, b, a) ? kSubcarriers : 0);
+      pairs_.emplace_hint(pairs_.end(), pair_key(a, b), std::move(p));
     }
   }
 
@@ -117,27 +110,71 @@ World::World(const channel::Testbed& testbed,
   // a fixed per-antenna-pair calibration error.
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) continue;
-      // A belief is only ever read from a transmitter about a receiver.
-      if (!roles.empty() &&
-          !((roles[a] & kRoleTx) && (roles[b] & kRoleRx))) {
-        continue;
-      }
-      // One calibration error per antenna pair, constant across subcarriers
-      // (hardware chains are flat over 10 MHz). Stored: refresh_csi reuses
-      // it — calibration is a hardware property, not a channel property.
-      CMat cal(nodes_[b].n_antennas, nodes_[a].n_antennas);
-      for (std::size_t r = 0; r < cal.rows(); ++r) {
-        for (std::size_t c = 0; c < cal.cols(); ++c) {
-          cal(r, c) = cdouble{1.0, 0.0} +
-                      rng_.cgaussian(config_.calibration_std *
-                                     config_.calibration_std);
-        }
-      }
-      derive_beliefs(channels_[b][a], cal, rng_, recip_[a][b]);
-      cal_.emplace(static_cast<std::uint64_t>(a) * n + b, std::move(cal));
+      if (a == b || !belief_active(roles, a, b)) continue;
+      measure_belief(pairs_.find(pair_key(a, b))->second, a, b, rng_);
     }
   }
+}
+
+std::uint64_t World::pair_key(std::size_t a, std::size_t b) const {
+  return static_cast<std::uint64_t>(std::min(a, b)) * nodes_.size() +
+         std::max(a, b);
+}
+
+util::Rng World::lazy_stream(std::uint64_t label) const {
+  util::Rng base = lazy_base_.duplicate();
+  return base.fork(label);
+}
+
+World::PairDyn World::new_dyn(std::size_t lo, std::size_t hi,
+                              util::Rng& stream) const {
+  // link_gain is the first draw of the pair's channel stream, so the
+  // realized shadowing is the drawn loss minus the median.
+  PairDyn dyn;
+  dyn.prev_dist_m = testbed_.distance_m(locations_[lo], locations_[hi]);
+  const double loss_db = -util::to_db(std::max(
+      testbed_.link_gain(locations_[lo], locations_[hi], stream), 1e-300));
+  dyn.shadow_s0_db =
+      loss_db - testbed_.path_loss().median_loss_db(dyn.prev_dist_m);
+  return dyn;
+}
+
+World::Pair& World::pair(std::size_t a, std::size_t b) const {
+  // Fires if a sparse world is asked for a masked-out (rx-rx / tx-tx) pair.
+  assert(a != b && pair_active(roles_, a, b));
+  const std::uint64_t key = pair_key(a, b);
+  auto it = pairs_.find(key);
+  if (it == pairs_.end()) {
+    assert(config_.lazy_channels);  // an eager world holds every pair
+    util::Rng stream = lazy_stream(key);
+    it = pairs_.try_emplace(key).first;
+    it->second.dyn = new_dyn(std::min(a, b), std::max(a, b), stream);
+  }
+  return it->second;
+}
+
+World::Pair& World::pair_with_channel(std::size_t a, std::size_t b) const {
+  Pair& p = pair(a, b);
+  if (p.fwd.empty()) {
+    const std::size_t lo = std::min(a, b);
+    const std::size_t hi = std::max(a, b);
+    util::Rng stream = lazy_stream(pair_key(a, b));
+    p.taps = testbed_.make_channel(locations_[lo], locations_[hi],
+                                   nodes_[lo].n_antennas,
+                                   nodes_[hi].n_antennas, stream);
+    // Dynamics catch-up: a pair whose SNR was read (and then drifted) in
+    // earlier epochs materializes at the CURRENT geometry — make_channel
+    // already used the moved positions and re-realizes the pair stream's
+    // shadowing draw — but must additionally realize the shadowing drift
+    // the advances accumulated, so the channel delivers exactly the link
+    // SNR the world has been advertising.
+    // lint:allow float-equal: offset is exactly 0.0 until the first advance
+    if (p.dyn.shadow_offset_db() != 0.0) {
+      p.taps.scale_gain(util::from_db(-p.dyn.shadow_offset_db()));
+    }
+    materialize(p);
+  }
+  return p;
 }
 
 void World::add_estimation_noise(CMat& m, util::Rng& rng) const {
@@ -151,18 +188,32 @@ void World::add_estimation_noise(CMat& m, util::Rng& rng) const {
   }
 }
 
-void World::derive_beliefs(const std::vector<CMat>& rev_chan,
-                           const CMat& cal, util::Rng& rng,
-                           std::vector<CMat>& beliefs) const {
-  beliefs.resize(kSubcarriers);
+void World::measure_belief(Pair& p, std::size_t a, std::size_t b,
+                           util::Rng& rng) const {
+  // Constant across subcarriers: hardware chains are flat over 10 MHz.
+  Belief& bel = p.belief[a > b];
+  bel.cal.resize(nodes_[b].n_antennas, nodes_[a].n_antennas);
+  for (std::size_t r = 0; r < bel.cal.rows(); ++r) {
+    for (std::size_t c = 0; c < bel.cal.cols(); ++c) {
+      bel.cal(r, c) =
+          cdouble{1.0, 0.0} + rng.cgaussian(config_.calibration_std *
+                                            config_.calibration_std);
+    }
+  }
+  derive_beliefs(a < b ? p.rev : p.fwd, bel, rng);  // channel b -> a
+}
+
+void World::derive_beliefs(const std::vector<CMat>& rev_chan, Belief& bel,
+                           util::Rng& rng) const {
+  bel.sc.resize(kSubcarriers);
   for (std::size_t s = 0; s < kSubcarriers; ++s) {
     CMat est = rev_chan[s];  // M_a x N_b
     add_estimation_noise(est, rng);
-    CMat& belief = beliefs[s];  // N_b x M_a: transposed, times calibration
+    CMat& belief = bel.sc[s];  // N_b x M_a: transposed, times calibration
     belief.resize(est.cols(), est.rows());
     for (std::size_t r = 0; r < est.rows(); ++r) {
       for (std::size_t c = 0; c < est.cols(); ++c) {
-        belief(c, r) = est(r, c) * cal(c, r);
+        belief(c, r) = est(r, c) * bel.cal(c, r);
       }
     }
   }
@@ -170,133 +221,29 @@ void World::derive_beliefs(const std::vector<CMat>& rev_chan,
 
 const CMat& World::channel(std::size_t a, std::size_t b,
                            std::size_t sc) const {
-  assert(a != b && sc < kSubcarriers);
-  if (config_.lazy_channels) return lazy_channel(a, b)[sc];
-  // Fires if a sparse world is asked for a masked-out (rx-rx / tx-tx) pair.
-  assert(!channels_[a][b].empty());
-  return channels_[a][b][sc];
+  assert(sc < kSubcarriers);
+  const Pair& p = pair_with_channel(a, b);
+  return (a < b ? p.fwd : p.rev)[sc];
 }
 
 double World::link_snr_db(std::size_t a, std::size_t b) const {
-  if (config_.lazy_channels) return lazy_link_snr_db(a, b);
-  return link_snr_db_[a][b];
-}
-
-const std::vector<CMat>& World::lazy_channel(std::size_t a,
-                                             std::size_t b) const {
-  // Same masked-pair contract as the eager sparse mode.
-  assert(pair_active(roles_, a, b));
-  const std::size_t n = nodes_.size();
-  const std::size_t lo = std::min(a, b);
-  const std::size_t hi = std::max(a, b);
-  const std::uint64_t key = static_cast<std::uint64_t>(lo) * n + hi;
-  auto it = lazy_pairs_.find(key);
-  if (it == lazy_pairs_.end()) {
-    // Copy-then-fork: lazy_base_ itself never advances, so the child
-    // stream depends only on the pair label, never on access order.
-    util::Rng base = lazy_base_.duplicate();
-    util::Rng pair_rng = base.fork(key);
-    // Dynamics ledger (peek a stream copy; see the eager constructor).
-    PairDyn& dyn = dyn_.try_emplace(key).first->second;
-    // lint:allow float-equal: 0.0 is the exact not-yet-initialized sentinel
-    if (dyn.prev_dist_m == 0.0) {
-      dyn.prev_dist_m = testbed_.distance_m(locations_[lo], locations_[hi]);
-      util::Rng peek = pair_rng.duplicate();
-      const double loss_db = -util::to_db(std::max(
-          testbed_.link_gain(locations_[lo], locations_[hi], peek),
-          1e-300));
-      dyn.shadow_s0_db =
-          loss_db - testbed_.path_loss().median_loss_db(dyn.prev_dist_m);
-    }
-    channel::MimoChannel fwd = testbed_.make_channel(
-        locations_[lo], locations_[hi], nodes_[lo].n_antennas,
-        nodes_[hi].n_antennas, pair_rng);
-    // Dynamics catch-up: a pair whose SNR was read (and then drifted) in
-    // earlier epochs materializes at the CURRENT geometry — make_channel
-    // already used the moved positions and re-realizes the pair stream's
-    // shadowing draw — but must additionally realize the shadowing drift
-    // the advances accumulated, so the channel delivers exactly the link
-    // SNR the world has been advertising.
-    // lint:allow float-equal: offset is exactly 0.0 until the first advance
-    if (dyn.shadow_offset_db() != 0.0) {
-      fwd.scale_gain(util::from_db(-dyn.shadow_offset_db()));
-    }
-    LazyPair entry;
-    materialize(fwd, entry.fwd, entry.rev);
-    entry.taps = std::move(fwd);
-    it = lazy_pairs_.emplace(key, std::move(entry)).first;
-  }
-  return a < b ? it->second.fwd : it->second.rev;
-}
-
-double World::lazy_link_snr_db(std::size_t a, std::size_t b) const {
-  if (a == b) return -300.0;
-  if (!pair_active(roles_, a, b)) return -300.0;
-  const std::size_t n = nodes_.size();
-  const std::size_t lo = std::min(a, b);
-  const std::size_t hi = std::max(a, b);
-  const std::uint64_t key = static_cast<std::uint64_t>(lo) * n + hi;
-  auto it = lazy_snr_.find(key);
-  if (it == lazy_snr_.end()) {
+  if (a == b || !pair_active(roles_, a, b)) return -300.0;
+  Pair& p = pair(a, b);
+  if (!p.snr_db) {
     // The link budget (pathloss + shadowing) is the FIRST draw of the
     // pair's stream — the same draw make_channel consumes first — so the
-    // channel materialized later realizes exactly this shadowing.
-    util::Rng base = lazy_base_.duplicate();
-    util::Rng pair_rng = base.fork(key);
-    const double gain =
-        testbed_.link_gain(locations_[lo], locations_[hi], pair_rng);
-    double snr = util::to_db(std::max(gain, 1e-30) / noise_power_);
-    // Dynamics ledger: the budget draw IS the realized shadowing, so s0
-    // falls out directly (sample - median, distance-independent).
-    PairDyn& dyn = dyn_.try_emplace(key).first->second;
-    // lint:allow float-equal: 0.0 is the exact not-yet-initialized sentinel
-    if (dyn.prev_dist_m == 0.0) {
-      dyn.prev_dist_m = testbed_.distance_m(locations_[lo], locations_[hi]);
-      dyn.shadow_s0_db =
-          -util::to_db(std::max(gain, 1e-300)) -
-          testbed_.path_loss().median_loss_db(dyn.prev_dist_m);
-    }
-    // Dynamics catch-up, mirroring lazy_channel: the budget re-realizes
-    // the pair stream's shadowing draw at the current geometry, but must
-    // also carry the shadowing drift accumulated by advances before this
-    // first read — otherwise the advertised SNR would depend on whether
-    // the channel or the SNR was touched first.
-    snr -= dyn.shadow_offset_db();
-    it = lazy_snr_.emplace(key, snr).first;
+    // channel materialized later realizes exactly this shadowing. Like a
+    // late channel, the budget re-realizes that draw at the current
+    // geometry and carries the shadowing drift accumulated by advances
+    // before this first read, so the advertised SNR never depends on
+    // whether the channel or the SNR was touched first.
+    util::Rng stream = lazy_stream(pair_key(a, b));
+    const double gain = testbed_.link_gain(
+        locations_[std::min(a, b)], locations_[std::max(a, b)], stream);
+    p.snr_db = util::to_db(std::max(gain, 1e-30) / noise_power_) -
+               p.dyn.shadow_offset_db();
   }
-  return it->second;
-}
-
-const std::vector<CMat>& World::lazy_recip(std::size_t a,
-                                           std::size_t b) const {
-  // A belief is only ever read from a transmitter about a receiver.
-  assert(roles_.empty() ||
-         ((roles_[a] & kRoleTx) && (roles_[b] & kRoleRx)));
-  const std::size_t n = nodes_.size();
-  const std::uint64_t key = static_cast<std::uint64_t>(n) * n +
-                            static_cast<std::uint64_t>(a) * n + b;
-  auto it = lazy_recip_.find(key);
-  if (it == lazy_recip_.end()) {
-    const std::vector<CMat>& rev_chan = lazy_channel(b, a);  // M_a x N_b
-    util::Rng base = lazy_base_.duplicate();
-    util::Rng recip_rng = base.fork(key);
-    // One calibration error per antenna pair, constant across subcarriers
-    // (hardware chains are flat over 10 MHz) — as in the eager mode, but
-    // drawn from the directed pair's own stream.
-    CMat cal(nodes_[b].n_antennas, nodes_[a].n_antennas);
-    for (std::size_t r = 0; r < cal.rows(); ++r) {
-      for (std::size_t c = 0; c < cal.cols(); ++c) {
-        cal(r, c) = cdouble{1.0, 0.0} +
-                    recip_rng.cgaussian(config_.calibration_std *
-                                        config_.calibration_std);
-      }
-    }
-    std::vector<CMat> beliefs;
-    derive_beliefs(rev_chan, cal, recip_rng, beliefs);
-    cal_.emplace(static_cast<std::uint64_t>(a) * n + b, std::move(cal));
-    it = lazy_recip_.emplace(key, std::move(beliefs)).first;
-  }
-  return it->second;
+  return *p.snr_db;
 }
 
 CMat World::estimate(const CMat& true_channel) const {
@@ -307,11 +254,18 @@ CMat World::estimate(const CMat& true_channel) const {
 
 const CMat& World::reciprocal_channel(std::size_t a, std::size_t b,
                                       std::size_t sc) const {
-  assert(a != b && sc < kSubcarriers);
-  if (config_.lazy_channels) return lazy_recip(a, b)[sc];
-  // Fires if a sparse world is asked for a belief it never materialized.
-  assert(!recip_[a][b].empty());
-  return recip_[a][b][sc];
+  assert(sc < kSubcarriers);
+  // Fires if a sparse world is asked for a belief it never materializes.
+  assert(belief_active(roles_, a, b));
+  Pair& p = pair_with_channel(a, b);
+  Belief& bel = p.belief[a > b];
+  if (bel.sc.empty()) {
+    // Lazy: drawn from the directed pair's own stream.
+    const std::uint64_t n = nodes_.size();
+    util::Rng stream = lazy_stream(n * n + a * n + b);
+    measure_belief(p, a, b, stream);
+  }
+  return bel.sc[sc];
 }
 
 // --- Dynamics -----------------------------------------------------------
@@ -321,46 +275,26 @@ const channel::Location& World::node_position(std::size_t node) const {
   return testbed_.location(locations_[node]);
 }
 
-void World::materialize(const channel::MimoChannel& ch,
-                        std::vector<CMat>& fwd,
-                        std::vector<CMat>& rev) const {
-  fwd.resize(kSubcarriers);
-  rev.resize(kSubcarriers);
-  ch.freq_responses_into(twiddles_, fwd.data(), rev.data());
-}
-
-void World::store_eager_link_snr(std::size_t lo, std::size_t hi) {
-  // Pre-cancellation link SNR (mean channel entry power / noise). It
+void World::materialize(Pair& p) const {
+  p.fwd.resize(kSubcarriers);
+  p.rev.resize(kSubcarriers);
+  p.taps.freq_responses_into(twiddles_, p.fwd.data(), p.rev.data());
+  if (config_.lazy_channels) return;
+  // Eager pre-cancellation link SNR (mean channel entry power / noise). It
   // averages the realized fading, so under advance() it tracks the evolved
   // channel, not just the budget.
-  double p = 0.0;
+  double power = 0.0;
   std::size_t cnt = 0;
-  for (const CMat& h : channels_[lo][hi]) {
+  for (const CMat& h : p.fwd) {
     for (std::size_t r = 0; r < h.rows(); ++r) {
       for (std::size_t c = 0; c < h.cols(); ++c) {
-        p += std::norm(h(r, c));
+        power += std::norm(h(r, c));
         ++cnt;
       }
     }
   }
-  const double snr = util::to_db(
-      std::max(p / static_cast<double>(cnt), 1e-30) / noise_power_);
-  link_snr_db_[lo][hi] = snr;
-  link_snr_db_[hi][lo] = snr;
-}
-
-void World::rematerialize_pair(std::uint64_t key,
-                               const channel::MimoChannel& ch) {
-  if (config_.lazy_channels) {
-    LazyPair& entry = lazy_pairs_[key];
-    materialize(ch, entry.fwd, entry.rev);
-    return;
-  }
-  const std::size_t n = nodes_.size();
-  const std::size_t lo = static_cast<std::size_t>(key / n);
-  const std::size_t hi = static_cast<std::size_t>(key % n);
-  materialize(ch, channels_[lo][hi], channels_[hi][lo]);
-  store_eager_link_snr(lo, hi);
+  p.snr_db = util::to_db(
+      std::max(power / static_cast<double>(cnt), 1e-30) / noise_power_);
 }
 
 void World::advance(const std::vector<channel::Location>& positions,
@@ -381,8 +315,6 @@ void World::advance(const std::vector<channel::Location>& positions,
                          positions[i].y_m - old.y_m);
   }
 
-  // Every materialized pair already has a dynamics-ledger entry (created
-  // at materialization, where the realized shadowing draw is in hand).
   for (std::size_t i = 0; i < n; ++i) {
     testbed_.move_location(locations_[i], positions[i]);
   }
@@ -390,9 +322,10 @@ void World::advance(const std::vector<channel::Location>& positions,
   const channel::PathLossModel& pl = testbed_.path_loss();
   // Fixed key order (std::map), so the draw sequence never depends on the
   // order in which rounds happened to touch pairs.
-  for (auto& [key, dyn] : dyn_) {
+  for (auto& [key, p] : pairs_) {
     const std::size_t lo = static_cast<std::size_t>(key / n);
     const std::size_t hi = static_cast<std::size_t>(key % n);
+    PairDyn& dyn = p.dyn;
 
     // Large scale: deterministic median-path-loss change plus anchored
     // Gudmundson shadowing (draws only if something moved). The pair's
@@ -427,54 +360,39 @@ void World::advance(const std::vector<channel::Location>& positions,
                             evolution.carrier_hz);
     const double rho_d = channel::doppler_rho(fd, dt_s);
 
-    channel::MimoChannel* ch = nullptr;
-    if (config_.lazy_channels) {
-      auto it = lazy_pairs_.find(key);
-      if (it != lazy_pairs_.end()) ch = &it->second.taps;
-    } else {
-      auto it = pair_taps_.find(key);
-      if (it != pair_taps_.end()) ch = &it->second;
-    }
-
+    // A lazy pair read only through its SNR has no taps yet: its channel
+    // materializes later with the accumulated drift folded in.
+    const bool has_taps = !p.fwd.empty();
     bool changed = false;
-    if (ch != nullptr && rho_d < 1.0) {
-      ch->evolve(rho_d, rng);
+    if (has_taps && rho_d < 1.0) {
+      p.taps.evolve(rho_d, rng);
       changed = true;
     }
     // lint:allow float-equal: exact-zero delta is the draw-free no-op guard
-    if (ch != nullptr && gain_delta_db != 0.0) {
-      ch->scale_gain(util::from_db(gain_delta_db));
-      changed = true;
+    if (gain_delta_db != 0.0) {
+      if (has_taps) {
+        p.taps.scale_gain(util::from_db(gain_delta_db));
+        changed = true;
+      }
+      // A lazy link SNR is a budget number: it shifts by the large-scale
+      // delta (fading evolution leaves the budget untouched). An eager one
+      // is recomputed from the rematerialized channel just below.
+      if (p.snr_db) *p.snr_db += gain_delta_db;
     }
-    if (changed) rematerialize_pair(key, *ch);
-
-    // Lazy link SNRs are budget numbers: shift them by the large-scale
-    // delta (fading evolution leaves the budget untouched). Covers both
-    // SNR-only pairs and pairs with materialized channels.
-    // lint:allow float-equal: exact-zero delta is the draw-free no-op guard
-    if (config_.lazy_channels && gain_delta_db != 0.0) {
-      auto snr_it = lazy_snr_.find(key);
-      if (snr_it != lazy_snr_.end()) snr_it->second += gain_delta_db;
-    }
+    if (changed) materialize(p);
   }
 }
 
 void World::refresh_csi(std::size_t a, std::size_t b, util::Rng& rng) {
   assert(a != b);
-  const std::size_t n = nodes_.size();
-  const std::uint64_t dkey = static_cast<std::uint64_t>(a) * n + b;
-  const auto cal_it = cal_.find(dkey);
-  if (config_.lazy_channels) {
-    const std::uint64_t rkey = static_cast<std::uint64_t>(n) * n + dkey;
-    auto it = lazy_recip_.find(rkey);
-    if (it == lazy_recip_.end()) return;  // never measured; stays lazy
-    assert(cal_it != cal_.end());
-    derive_beliefs(lazy_channel(b, a), cal_it->second, rng, it->second);
-    return;
-  }
-  if (recip_[a][b].empty()) return;
-  assert(cal_it != cal_.end());
-  derive_beliefs(channels_[b][a], cal_it->second, rng, recip_[a][b]);
+  // A belief never measured (masked out, or lazy and not yet read) stays
+  // unmeasured and draws nothing.
+  const auto it = pairs_.find(pair_key(a, b));
+  if (it == pairs_.end()) return;
+  Pair& p = it->second;
+  Belief& bel = p.belief[a > b];
+  if (bel.sc.empty()) return;
+  derive_beliefs(a < b ? p.rev : p.fwd, bel, rng);
 }
 
 }  // namespace nplus::sim

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "channel/evolution.h"
@@ -131,20 +132,20 @@ class World {
   const channel::Location& node_position(std::size_t node) const;
 
   // Advances the physical world by dt_s: moves every node to positions[i],
-  // then for each *materialized* pair applies
+  // then walks the pair table in key order and applies to each record
   //  * the large-scale update — median path loss at the new distance plus
   //    anchored Gudmundson shadowing: an AR(1) step in dB per traveled
   //    distance that geometrically decays the materialization draw while
   //    injecting matched innovation, keeping total shadowing variance at
   //    exactly the path-loss model's sigma^2 for all time (see PairDyn),
-  //    and
+  //    and, if the pair's channel has been read,
   //  * the small-scale update — one Gauss-Markov tap-evolution step at
   //    rho = J0(2*pi*f_d*dt), f_d from the endpoints' realized speeds plus
   //    the config's environmental Doppler floor
   // and re-materializes the pair's per-subcarrier matrices and link SNR.
   // Reciprocity beliefs are NOT refreshed (CSI measured in round t stays
-  // pinned until refresh_csi, so it is stale by round t+k). Lazy pairs not
-  // yet touched materialize later at the then-current geometry, with the
+  // pinned until refresh_csi, so it is stale by round t+k). Lazy channels
+  // first read later materialize at the then-current geometry, with the
   // pair's accumulated shadowing offset applied, preserving the SNR/channel
   // seeding invariant at materialization time. With zero motion and zero
   // Doppler the call is an exact no-op and consumes no RNG draws.
@@ -157,66 +158,15 @@ class World {
   // Re-measures node a's reciprocal belief about the channel a -> b from
   // the channel as it is NOW (fresh estimation noise from `rng`, the pair's
   // fixed calibration error). Sessions call this for pairs that exchanged
-  // a handshake/ACK this round; every other belief keeps aging. No-op for
-  // pairs that never materialized a belief.
+  // a handshake/ACK this round; every other belief keeps aging. No-op, and
+  // draw-free, for beliefs never measured (masked out, or lazy and unread).
   void refresh_csi(std::size_t a, std::size_t b, util::Rng& rng);
 
   static constexpr std::size_t kSubcarriers = 48;
 
  private:
-  // Lazy-mode materialization (config_.lazy_channels). Each helper forks a
-  // fresh child off lazy_base_ by a pair-derived label, so what a pair
-  // contains never depends on which pairs were touched before it.
-  const std::vector<CMat>& lazy_channel(std::size_t a, std::size_t b) const;
-  const std::vector<CMat>& lazy_recip(std::size_t a, std::size_t b) const;
-  double lazy_link_snr_db(std::size_t a, std::size_t b) const;
-
-  // Adds LS estimation noise to every entry of m, in row-major order, from
-  // `rng`: estimate() passes the world's own stream, belief derivation an
-  // explicit one.
-  void add_estimation_noise(CMat& m, util::Rng& rng) const;
-  // Belief a -> b from the current reverse channel + a fixed calibration
-  // matrix, written into `beliefs` (reusing its matrices): shared by both
-  // materialization paths and refresh_csi.
-  void derive_beliefs(const std::vector<CMat>& rev_chan, const CMat& cal,
-                      util::Rng& rng, std::vector<CMat>& beliefs) const;
-  // The one channel-materialization kernel: writes a pair's kSubcarriers
-  // forward matrices (lo -> hi) and their exact transposes in place.
-  void materialize(const channel::MimoChannel& ch, std::vector<CMat>& fwd,
-                   std::vector<CMat>& rev) const;
-  // Eager mode: link SNR of the pair from its realized fading.
-  void store_eager_link_snr(std::size_t lo, std::size_t hi);
-  // Re-derives per-subcarrier matrices (and, eager mode, link SNR) for a
-  // pair whose taps changed under advance().
-  void rematerialize_pair(std::uint64_t key, const channel::MimoChannel& ch);
-
-  std::vector<NodeSpec> nodes_;
-  WorldConfig config_;
-  double noise_power_;
-  mutable util::Rng rng_;
-  // channels_[a][b][sc]: true channel a -> b.
-  std::vector<std::vector<std::vector<CMat>>> channels_;
-  // recip_[a][b][sc]: a's belief about channel a -> b.
-  std::vector<std::vector<std::vector<CMat>>> recip_;
-  std::vector<std::vector<double>> link_snr_db_;
-  // DFT twiddles of the data subcarriers on config_.fft_size's grid.
-  channel::SubcarrierTwiddles twiddles_;
-
-  // Geometry (all modes; the dynamics engine moves testbed_ locations).
-  channel::Testbed testbed_{std::vector<channel::Location>{}};
-  std::vector<std::size_t> locations_;
-  std::vector<std::uint8_t> roles_;
-
-  // Tap-domain channel per unordered pair, keyed lo * n_nodes + hi: the
-  // state Gauss-Markov evolution operates on (eager modes; lazy pairs keep
-  // theirs inside LazyPair). Calibration errors are keyed a * n_nodes + b
-  // (directed) and fixed for the world's lifetime — hardware doesn't
-  // recalibrate because furniture moved.
-  std::map<std::uint64_t, channel::MimoChannel> pair_taps_;
-  mutable std::map<std::uint64_t, CMat> cal_;
-
-  // Per-pair dynamics state, created at materialization. The pair's total
-  // shadowing at any time is anchor * s0 + delta: s0 is the realized
+  // Per-pair dynamics state, created with the pair's record. The pair's
+  // total shadowing at any time is anchor * s0 + delta: s0 is the realized
   // materialization draw (recovered draw-free by peeking the stream),
   // anchor decays geometrically with traveled distance (Gudmundson rho),
   // and delta is the AR(1) innovation accumulator with variance
@@ -234,18 +184,79 @@ class World {
       return (shadow_anchor - 1.0) * shadow_s0_db + shadow_delta_db;
     }
   };
-  mutable std::map<std::uint64_t, PairDyn> dyn_;
 
-  // Lazy-mode state (unused by the eager modes).
-  struct LazyPair {
-    channel::MimoChannel taps{std::vector<std::vector<channel::Samples>>{}};
-    std::vector<CMat> fwd;  // lo -> hi, per subcarrier
-    std::vector<CMat> rev;  // hi -> lo (transpose: reciprocity)
+  // Node a's reciprocity belief about the channel a -> b.
+  struct Belief {
+    // One calibration error per antenna pair (N_b x M_a), fixed for the
+    // world's lifetime: hardware doesn't recalibrate because furniture
+    // moved, so refresh_csi reuses it.
+    CMat cal;
+    std::vector<CMat> sc;  // per subcarrier; empty until first measured
   };
-  util::Rng lazy_base_{0, 0};  // copied, never advanced, per fork
-  mutable std::map<std::uint64_t, LazyPair> lazy_pairs_;
-  mutable std::map<std::uint64_t, std::vector<CMat>> lazy_recip_;
-  mutable std::map<std::uint64_t, double> lazy_snr_;
+
+  // The pair table: one record per unordered node pair lo < hi, keyed
+  // lo * n_nodes + hi. An eager world fills every active pair at
+  // construction; a lazy world creates a record on the pair's first read
+  // and fills each part (channel, link SNR, each belief) on its own first
+  // read. std::map is node-based, so the matrices handed out by channel()
+  // and reciprocal_channel() stay put across later lazy inserts, and
+  // key-ordered, so advance() draws in a fixed order.
+  struct Pair {
+    PairDyn dyn;
+    // Tap-domain channel lo -> hi: the state Gauss-Markov evolution
+    // operates on.
+    channel::MimoChannel taps{std::vector<std::vector<channel::Samples>>{}};
+    std::vector<CMat> fwd;  // lo -> hi per subcarrier; empty until read
+    std::vector<CMat> rev;  // hi -> lo: the exact transpose (reciprocity)
+    // Eager: mean realized channel power. Lazy: the link budget, shifted by
+    // advance(); unset until read.
+    std::optional<double> snr_db;
+    Belief belief[2];  // [0]: lo's about lo -> hi; [1]: hi's about hi -> lo
+  };
+
+  std::uint64_t pair_key(std::size_t a, std::size_t b) const;
+  // A lazy child stream: lazy_base_ itself never advances, so the stream
+  // depends only on the label, never on access order.
+  util::Rng lazy_stream(std::uint64_t label) const;
+  // The record of pair {a, b}; a lazy world creates it on first touch.
+  Pair& pair(std::size_t a, std::size_t b) const;
+  // pair(a, b) with its channel materialized.
+  Pair& pair_with_channel(std::size_t a, std::size_t b) const;
+  // Dynamics ledger entry of a new pair, peeked from `stream`: the pair's
+  // channel stream, whose first draw is the link budget.
+  PairDyn new_dyn(std::size_t lo, std::size_t hi, util::Rng& stream) const;
+
+  // Adds LS estimation noise to every entry of m, in row-major order, from
+  // `rng`: estimate() passes the world's own stream, belief derivation an
+  // explicit one.
+  void add_estimation_noise(CMat& m, util::Rng& rng) const;
+  // Draws a's calibration error about a -> b, then measures its beliefs.
+  void measure_belief(Pair& p, std::size_t a, std::size_t b,
+                      util::Rng& rng) const;
+  // Belief from the current reverse channel + the fixed calibration matrix,
+  // written into bel.sc (reusing its matrices): shared by measure_belief
+  // and refresh_csi.
+  void derive_beliefs(const std::vector<CMat>& rev_chan, Belief& bel,
+                      util::Rng& rng) const;
+  // The one channel-materialization path: writes p's kSubcarriers forward
+  // matrices and their exact transposes in place from its taps, and in an
+  // eager world its link SNR.
+  void materialize(Pair& p) const;
+
+  std::vector<NodeSpec> nodes_;
+  WorldConfig config_;
+  double noise_power_;
+  mutable util::Rng rng_;
+  // DFT twiddles of the data subcarriers on config_.fft_size's grid.
+  channel::SubcarrierTwiddles twiddles_;
+
+  // Geometry (all modes; the dynamics engine moves testbed_ locations).
+  channel::Testbed testbed_{std::vector<channel::Location>{}};
+  std::vector<std::size_t> locations_;
+  std::vector<std::uint8_t> roles_;
+
+  mutable std::map<std::uint64_t, Pair> pairs_;
+  util::Rng lazy_base_{0, 0};  // lazy mode: copied, never advanced, per fork
 };
 
 }  // namespace nplus::sim
