@@ -497,6 +497,122 @@ TEST(WorldDynamics, AdvanceKeepsExactReciprocityAndSnr) {
   }
 }
 
+TEST(WorldDynamics, ReadsBetweenAdvancesDoNotChangeTheWorld) {
+  // Two identical worlds take the same advances. World a reads every
+  // active pair after every advance; world b reads nothing until the end.
+  // Whatever a world defers to the first read after an advance, each of
+  // channel(), link_snr_db() and refresh_csi() must see the world as it
+  // is now: world b's final reads start with refresh_csi on even pairs and
+  // with link_snr_db on odd pairs, and world a's final channel snapshot is
+  // its first read after the last advance.
+  for (const bool lazy : {false, true}) {
+    WorldFixture a(58, lazy), b(58, lazy);
+    const auto& roles = a.topo.roles;
+    const std::size_t n = roles.size();
+    const auto tx_to_rx = [&](std::size_t x, std::size_t y) {
+      return (roles[x] & sim::kRoleTx) && (roles[y] & sim::kRoleRx);
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;  // lo < hi
+    for (std::size_t x = 0; x < n; ++x) {
+      for (std::size_t y = x + 1; y < n; ++y) {
+        if (tx_to_rx(x, y) || tx_to_rx(y, x)) pairs.emplace_back(x, y);
+      }
+    }
+    // Lazy pairs only evolve once materialized: touch every part of every
+    // pair in both worlds first (a no-op for eager worlds).
+    for (sim::World* w : {&a.world, &b.world}) {
+      for (const auto& [x, y] : pairs) {
+        (void)w->channel(x, y, 0);
+        (void)w->link_snr_db(x, y);
+        if (tx_to_rx(x, y)) (void)w->reciprocal_channel(x, y, 0);
+        if (tx_to_rx(y, x)) (void)w->reciprocal_channel(y, x, 0);
+      }
+    }
+
+    // Channels in both directions, all subcarriers, copied out.
+    const auto snapshot = [&](const sim::World& w) {
+      std::vector<CMat> out;
+      for (const auto& [x, y] : pairs) {
+        for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+          out.push_back(w.channel(x, y, s));
+          out.push_back(w.channel(y, x, s));
+        }
+      }
+      return out;
+    };
+    // Refreshes both beliefs of pair i (same order and stream in both
+    // worlds), then reads them back.
+    const auto refresh = [&](sim::World& w, std::size_t i, util::Rng& rng,
+                             std::vector<CMat>& beliefs) {
+      const auto [x, y] = pairs[i];
+      for (const auto& [from, to] : {std::pair{x, y}, std::pair{y, x}}) {
+        if (!tx_to_rx(from, to)) continue;
+        w.refresh_csi(from, to, rng);
+        for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+          beliefs.push_back(w.reciprocal_channel(from, to, s));
+        }
+      }
+    };
+
+    channel::EvolutionConfig evo;
+    evo.env_doppler_hz = 30.0;
+    util::Rng dyn_a(23), dyn_b(23);
+    auto pos = a.positions;
+    const std::vector<double> speeds(n, 1.1);
+    std::vector<CMat> chan_a;
+    std::vector<double> snr_a;
+    for (int step = 1; step <= 4; ++step) {
+      for (std::size_t i = 0; i < n; ++i) {
+        pos[i].x_m += 0.25 * static_cast<double>(step);
+        pos[i].y_m -= 0.15 * static_cast<double>(i % 4);
+      }
+      a.world.advance(pos, speeds, 0.02, evo, dyn_a);
+      b.world.advance(pos, speeds, 0.02, evo, dyn_b);
+      chan_a = snapshot(a.world);
+      snr_a.clear();
+      for (const auto& [x, y] : pairs) {
+        snr_a.push_back(a.world.link_snr_db(x, y));
+        snr_a.push_back(a.world.link_snr_db(y, x));
+        if (tx_to_rx(x, y)) (void)a.world.reciprocal_channel(x, y, 3);
+        if (tx_to_rx(y, x)) (void)a.world.reciprocal_channel(y, x, 3);
+      }
+    }
+
+    util::Rng csi_a(31), csi_b(31);
+    std::vector<CMat> bel_a, bel_b;
+    std::vector<double> snr_b;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      refresh(a.world, i, csi_a, bel_a);
+      const auto [x, y] = pairs[i];
+      if (i % 2 == 0) refresh(b.world, i, csi_b, bel_b);
+      snr_b.push_back(b.world.link_snr_db(x, y));
+      snr_b.push_back(b.world.link_snr_db(y, x));
+      if (i % 2 == 1) refresh(b.world, i, csi_b, bel_b);
+    }
+    const std::vector<CMat> chan_b = snapshot(b.world);
+
+    EXPECT_EQ(snr_a, snr_b) << "lazy=" << lazy;
+    ASSERT_EQ(chan_a.size(), chan_b.size());
+    ASSERT_EQ(bel_a.size(), bel_b.size());
+    ASSERT_FALSE(bel_a.empty());
+    const auto same = [&](const std::vector<CMat>& u,
+                          const std::vector<CMat>& v, const char* what) {
+      for (std::size_t k = 0; k < u.size(); ++k) {
+        ASSERT_EQ(u[k].rows(), v[k].rows());
+        ASSERT_EQ(u[k].cols(), v[k].cols());
+        for (std::size_t r = 0; r < u[k].rows(); ++r) {
+          for (std::size_t c = 0; c < u[k].cols(); ++c) {
+            EXPECT_EQ(u[k](r, c), v[k](r, c))
+                << what << " " << k << " lazy=" << lazy;
+          }
+        }
+      }
+    };
+    same(chan_a, chan_b, "channel");
+    same(bel_a, bel_b, "belief");
+  }
+}
+
 // --- Churn mask at the round level --------------------------------------
 
 TEST(ChurnMask, AllOnesMaskIsBitIdenticalToNoMask) {
