@@ -28,22 +28,24 @@ Pt clamp_to_area(Pt p, const GenConfig& cfg) {
 
 // Draws a position from `draw`, retrying (best effort) until it clears the
 // minimum separation from every already-placed node; the last draw wins if
-// the floor is too crowded — large N must degrade gracefully, not loop.
+// the floor is too crowded — large N must degrade gracefully, not loop —
+// and is counted in `crowded`.
 template <typename DrawFn>
 Pt place_separated(std::vector<Pt>& placed, const GenConfig& cfg,
-                   DrawFn&& draw) {
+                   std::size_t& crowded, DrawFn&& draw) {
   Pt p;
-  for (int attempt = 0; attempt < 64; ++attempt) {
+  bool clear = false;
+  for (int attempt = 0; attempt < 64 && !clear; ++attempt) {
     p = clamp_to_area(draw(), cfg);
-    bool clear = true;
+    clear = true;
     for (const Pt& q : placed) {
       if (dist(p, q) < cfg.min_separation_m) {
         clear = false;
         break;
       }
     }
-    if (clear) break;
   }
+  if (!clear) ++crowded;
   placed.push_back(p);
   return p;
 }
@@ -120,6 +122,7 @@ GeneratedTopology generate_topology(const GenConfig& cfg, util::Rng& rng) {
   cfg.validate();
   GeneratedTopology topo;
   std::vector<Pt> pts;
+  std::size_t& crowded = topo.crowded_placements;
 
   // Cluster centers (kClustered): drawn once, links hash onto them.
   std::vector<Pt> centers;
@@ -156,10 +159,10 @@ GeneratedTopology generate_topology(const GenConfig& cfg, util::Rng& rng) {
     for (std::size_t i = 0; i < cfg.n_links; ++i) {
       const std::size_t tx = topo.scenario.nodes.size();
       topo.scenario.nodes.push_back({draw_antennas(cfg.tx_mix, rng)});
-      const Pt tx_pt = place_separated(pts, cfg, draw_anchor);
+      const Pt tx_pt = place_separated(pts, cfg, crowded, draw_anchor);
       const std::size_t rx = topo.scenario.nodes.size();
       topo.scenario.nodes.push_back({draw_antennas(cfg.rx_mix, rng)});
-      place_separated(pts, cfg, [&] { return draw_near(tx_pt); });
+      place_separated(pts, cfg, crowded, [&] { return draw_near(tx_pt); });
       topo.scenario.links.push_back({tx, rx});
     }
   } else {
@@ -169,12 +172,12 @@ GeneratedTopology generate_topology(const GenConfig& cfg, util::Rng& rng) {
     while (remaining > 0) {
       const std::size_t ap = topo.scenario.nodes.size();
       topo.scenario.nodes.push_back({draw_antennas(cfg.tx_mix, rng)});
-      const Pt ap_pt = place_separated(pts, cfg, draw_anchor);
+      const Pt ap_pt = place_separated(pts, cfg, crowded, draw_anchor);
       const std::size_t clients = std::min(per, remaining);
       for (std::size_t c = 0; c < clients; ++c) {
         const std::size_t rx = topo.scenario.nodes.size();
         topo.scenario.nodes.push_back({draw_antennas(cfg.rx_mix, rng)});
-        place_separated(pts, cfg, [&] { return draw_near(ap_pt); });
+        place_separated(pts, cfg, crowded, [&] { return draw_near(ap_pt); });
         topo.scenario.links.push_back({ap, rx});
       }
       remaining -= clients;

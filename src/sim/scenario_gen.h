@@ -56,7 +56,8 @@ struct GenConfig {
   // Floor dimensions (the default matches the Fig. 10 office footprint).
   double area_w_m = 30.0;
   double area_h_m = 18.0;
-  // Nodes are redrawn (best effort) until at least this far apart.
+  // Nodes are redrawn (best effort, 64 draws) until at least this far
+  // apart; GeneratedTopology::crowded_placements counts those that gave up.
   double min_separation_m = 1.0;
   // A link's receiver is placed in this distance band around its
   // transmitter (resp. its AP), keeping every offered link physically
@@ -86,6 +87,10 @@ struct GeneratedTopology {
   channel::Testbed testbed;
   std::vector<std::size_t> locations;
   std::vector<std::uint8_t> roles;
+  // Nodes placed closer than min_separation_m to an earlier node because
+  // none of their 64 draws cleared it: nonzero means the floor is too
+  // crowded for the separation. Diagnostic only; no result reads it.
+  std::size_t crowded_placements = 0;
 };
 
 // Draws an antenna count in [1, 4] from the mix.

@@ -155,7 +155,9 @@ World::Pair& World::pair(std::size_t a, std::size_t b) const {
 
 World::Pair& World::pair_with_channel(std::size_t a, std::size_t b) const {
   Pair& p = pair(a, b);
-  if (p.fwd.empty()) {
+  if (p.stale) {
+    materialize(p);
+  } else if (p.fwd.empty()) {
     const std::size_t lo = std::min(a, b);
     const std::size_t hi = std::max(a, b);
     util::Rng stream = lazy_stream(pair_key(a, b));
@@ -229,6 +231,8 @@ const CMat& World::channel(std::size_t a, std::size_t b,
 double World::link_snr_db(std::size_t a, std::size_t b) const {
   if (a == b || !pair_active(roles_, a, b)) return -300.0;
   Pair& p = pair(a, b);
+  // An eager SNR is the realized channel power: flush a stale channel.
+  if (p.stale && !config_.lazy_channels) materialize(p);
   if (!p.snr_db) {
     // The link budget (pathloss + shadowing) is the FIRST draw of the
     // pair's stream — the same draw make_channel consumes first — so the
@@ -279,6 +283,7 @@ void World::materialize(Pair& p) const {
   p.fwd.resize(kSubcarriers);
   p.rev.resize(kSubcarriers);
   p.taps.freq_responses_into(twiddles_, p.fwd.data(), p.rev.data());
+  p.stale = false;
   if (config_.lazy_channels) return;
   // Eager pre-cancellation link SNR (mean channel entry power / noise). It
   // averages the realized fading, so under advance() it tracks the evolved
@@ -361,25 +366,25 @@ void World::advance(const std::vector<channel::Location>& positions,
     const double rho_d = channel::doppler_rho(fd, dt_s);
 
     // A lazy pair read only through its SNR has no taps yet: its channel
-    // materializes later with the accumulated drift folded in.
+    // materializes later with the accumulated drift folded in. A pair whose
+    // taps change is only marked stale: the DFT draws nothing and depends
+    // only on the final taps, so the pair's next read runs it.
     const bool has_taps = !p.fwd.empty();
-    bool changed = false;
     if (has_taps && rho_d < 1.0) {
       p.taps.evolve(rho_d, rng);
-      changed = true;
+      p.stale = true;
     }
     // lint:allow float-equal: exact-zero delta is the draw-free no-op guard
     if (gain_delta_db != 0.0) {
       if (has_taps) {
         p.taps.scale_gain(util::from_db(gain_delta_db));
-        changed = true;
+        p.stale = true;
       }
       // A lazy link SNR is a budget number: it shifts by the large-scale
       // delta (fading evolution leaves the budget untouched). An eager one
-      // is recomputed from the rematerialized channel just below.
+      // is recomputed when the stale channel is next rematerialized.
       if (p.snr_db) *p.snr_db += gain_delta_db;
     }
-    if (changed) materialize(p);
   }
 }
 
@@ -392,6 +397,7 @@ void World::refresh_csi(std::size_t a, std::size_t b, util::Rng& rng) {
   Pair& p = it->second;
   Belief& bel = p.belief[a > b];
   if (bel.sc.empty()) return;
+  if (p.stale) materialize(p);
   derive_beliefs(a < b ? p.rev : p.fwd, bel, rng);
 }
 

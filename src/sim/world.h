@@ -126,7 +126,8 @@ class World {
   // A static World is immutable after construction; the dynamics engine
   // (sim/mobility.h + channel/evolution.h) drives it through two mutators.
   // Neither is thread-safe — a dynamic world belongs to one session, just
-  // like a lazy one.
+  // like a lazy one. Once advanced, even an eager world mutates on read:
+  // the first read of a pair after an advance rematerializes it.
 
   // Current position of a node (meters on the scenario floor).
   const channel::Location& node_position(std::size_t node) const;
@@ -142,11 +143,15 @@ class World {
   //  * the small-scale update — one Gauss-Markov tap-evolution step at
   //    rho = J0(2*pi*f_d*dt), f_d from the endpoints' realized speeds plus
   //    the config's environmental Doppler floor
-  // and re-materializes the pair's per-subcarrier matrices and link SNR.
-  // Reciprocity beliefs are NOT refreshed (CSI measured in round t stays
-  // pinned until refresh_csi, so it is stale by round t+k). Lazy channels
-  // first read later materialize at the then-current geometry, with the
-  // pair's accumulated shadowing offset applied, preserving the SNR/channel
+  // and, if either step changed the taps, marks the pair stale. Its
+  // per-subcarrier matrices (and, eager, its link SNR) are rematerialized
+  // from the final taps by the pair's first read: channel(),
+  // reciprocal_channel(), an eager link_snr_db() or refresh_csi(). The DFT
+  // draws nothing, so deferring it changes no byte. Reciprocity beliefs
+  // are NOT refreshed (CSI measured in round t stays pinned until
+  // refresh_csi, so it is stale by round t+k). Lazy channels first read
+  // later materialize at the then-current geometry, with the pair's
+  // accumulated shadowing offset applied, preserving the SNR/channel
   // seeding invariant at materialization time. With zero motion and zero
   // Doppler the call is an exact no-op and consumes no RNG draws.
   // Randomness comes from `rng` only (fork one dynamics stream per
@@ -211,6 +216,10 @@ class World {
     // Eager: mean realized channel power. Lazy: the link budget, shifted by
     // advance(); unset until read.
     std::optional<double> snr_db;
+    // Set by advance() when it changed the taps: fwd, rev and an eager
+    // snr_db still hold the previous taps' values until materialize()
+    // runs, which every read of them does first.
+    bool stale = false;
     Belief belief[2];  // [0]: lo's about lo -> hi; [1]: hi's about hi -> lo
   };
 
@@ -240,7 +249,7 @@ class World {
                       util::Rng& rng) const;
   // The one channel-materialization path: writes p's kSubcarriers forward
   // matrices and their exact transposes in place from its taps, and in an
-  // eager world its link SNR.
+  // eager world its link SNR; clears p.stale.
   void materialize(Pair& p) const;
 
   std::vector<NodeSpec> nodes_;

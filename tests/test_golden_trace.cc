@@ -81,9 +81,9 @@ GoldenTrace run_trace(sim::Preset preset) {
 // The living cell: a generated, eager, clustered 12-link cell with
 // pedestrian random-waypoint mobility, a 5 Hz environmental Doppler floor,
 // flow and node churn and AARF rate control, 20 ms between rounds — so
-// every round advances the world and rematerializes its channels. `lazy`
-// builds the same topology as a lazy world (a different stream layout, so
-// a different fixture).
+// every round advances the world and rematerializes the channels it
+// reads. `lazy` builds the same topology as a lazy world (a different
+// stream layout, so a different fixture).
 GoldenTrace run_living_cell(bool lazy) {
   util::Rng rng(kSeed);
   util::Rng world_rng = rng.fork(11);

@@ -141,6 +141,40 @@ TEST(ScenarioGen, PlacementWithinAreaAndSeparated) {
   }
 }
 
+TEST(ScenarioGen, CrowdedPlacementsAreCounted) {
+  // The default 30x18 m floor cannot fit 400 nodes 1 m apart by random
+  // placement, so at 200 links some nodes give up and keep their last draw.
+  // Each of those, and only those, lands closer than the separation to an
+  // earlier node. At 10 and 50 links every node finds room.
+  for (const PlacementMode mode :
+       {PlacementMode::kUniform, PlacementMode::kClustered}) {
+    for (const std::size_t n_links : {10u, 50u, 200u}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        GenConfig cfg;
+        cfg.n_links = n_links;
+        cfg.placement = mode;
+        util::Rng rng(seed);
+        const GeneratedTopology topo = generate_topology(cfg, rng);
+        std::size_t too_close = 0;
+        for (std::size_t i = 0; i < topo.testbed.n_locations(); ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            if (topo.testbed.distance_m(i, j) < cfg.min_separation_m) {
+              ++too_close;
+              break;
+            }
+          }
+        }
+        EXPECT_EQ(topo.crowded_placements, too_close) << topo.name;
+        if (n_links == 200) {
+          EXPECT_GT(topo.crowded_placements, 0u) << topo.name;
+        } else {
+          EXPECT_EQ(topo.crowded_placements, 0u) << topo.name;
+        }
+      }
+    }
+  }
+}
+
 TEST(ScenarioGen, PresetsHavePinnedShapes) {
   util::Rng rng(6);
   const GeneratedTopology tp = make_preset(Preset::kThreePair, rng);
