@@ -85,7 +85,10 @@ World::World(const channel::Testbed& testbed,
 
   // Draw one physical channel per unordered pair; the reverse direction is
   // its exact transpose (electromagnetic reciprocity). The tap-domain
-  // channel is retained so advance() can evolve it later.
+  // channel is retained so advance() can evolve it later. Its
+  // per-subcarrier matrices and link SNR draw nothing and depend only on
+  // the taps: the pair's first read computes them (the record starts
+  // stale).
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
       if (!pair_active(roles, a, b)) continue;
@@ -96,22 +99,23 @@ World::World(const channel::Testbed& testbed,
       p.taps = testbed.make_channel(locations[a], locations[b],
                                     nodes[a].n_antennas, nodes[b].n_antennas,
                                     rng);
-      materialize(p);
-      // Allocate the belief slots now, so the record goes into the table
-      // finished and the belief pass below only draws into it.
-      p.belief[0].sc.resize(belief_active(roles, a, b) ? kSubcarriers : 0);
-      p.belief[1].sc.resize(belief_active(roles, b, a) ? kSubcarriers : 0);
+      p.stale = true;
       pairs_.emplace_hint(pairs_.end(), pair_key(a, b), std::move(p));
     }
   }
 
   // Reciprocity-derived knowledge: node a's belief about channel a -> b is
   // the (noisy estimate of) the overheard b -> a channel, transposed, with
-  // a fixed per-antenna-pair calibration error.
+  // a fixed per-antenna-pair calibration error. Each belief keeps a copy of
+  // rng_ where its draws begin, and rng_ skips exactly those draws: a
+  // belief measured on its first read gets the bytes this pass would have
+  // drawn, and every later draw on rng_ (estimate()) is unchanged.
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b || !belief_active(roles, a, b)) continue;
-      measure_belief(pairs_.find(pair_key(a, b))->second, a, b, rng_);
+      Belief& bel = pairs_.find(pair_key(a, b))->second.belief[a > b];
+      bel.pending = rng_.duplicate();
+      rng_.discard_gaussians(belief_gaussians(a, b));
     }
   }
 }
@@ -190,10 +194,10 @@ void World::add_estimation_noise(CMat& m, util::Rng& rng) const {
   }
 }
 
-void World::measure_belief(Pair& p, std::size_t a, std::size_t b,
+void World::measure_belief(Belief& bel, std::size_t a, std::size_t b,
+                           const std::vector<CMat>& rev_chan,
                            util::Rng& rng) const {
   // Constant across subcarriers: hardware chains are flat over 10 MHz.
-  Belief& bel = p.belief[a > b];
   bel.cal.resize(nodes_[b].n_antennas, nodes_[a].n_antennas);
   for (std::size_t r = 0; r < bel.cal.rows(); ++r) {
     for (std::size_t c = 0; c < bel.cal.cols(); ++c) {
@@ -202,7 +206,37 @@ void World::measure_belief(Pair& p, std::size_t a, std::size_t b,
                                             config_.calibration_std);
     }
   }
-  derive_beliefs(a < b ? p.rev : p.fwd, bel, rng);  // channel b -> a
+  derive_beliefs(rev_chan, bel, rng);
+}
+
+std::size_t World::belief_gaussians(std::size_t a, std::size_t b) const {
+  // Two per complex entry: the calibration matrix and, unless estimation
+  // noise is off, one noise matrix per subcarrier.
+  const std::size_t entries = nodes_[a].n_antennas * nodes_[b].n_antennas;
+  const std::size_t matrices =
+      1 + (config_.estimation_noise_scale > 0.0 ? kSubcarriers : 0);
+  return 2 * entries * matrices;
+}
+
+void World::flush_belief(Pair& p, std::size_t a, std::size_t b) const {
+  Belief& bel = p.belief[a > b];
+  // The channel b -> a at construction: the pair's own matrices unless
+  // advance() has changed its taps since.
+  std::vector<CMat> fwd;
+  std::vector<CMat> rev;
+  if (p.built_taps) {
+    fwd.resize(kSubcarriers);
+    rev.resize(a < b ? kSubcarriers : 0);
+    p.built_taps->freq_responses_into(twiddles_, fwd.data(),
+                                      a < b ? rev.data() : nullptr);
+  } else if (p.stale) {
+    materialize(p);
+  }
+  const std::vector<CMat>& built = p.built_taps ? (a < b ? rev : fwd)
+                                                : (a < b ? p.rev : p.fwd);
+  measure_belief(bel, a, b, built, *bel.pending);
+  bel.pending.reset();
+  if (!p.belief[0].pending && !p.belief[1].pending) p.built_taps.reset();
 }
 
 void World::derive_beliefs(const std::vector<CMat>& rev_chan, Belief& bel,
@@ -263,11 +297,13 @@ const CMat& World::reciprocal_channel(std::size_t a, std::size_t b,
   assert(belief_active(roles_, a, b));
   Pair& p = pair_with_channel(a, b);
   Belief& bel = p.belief[a > b];
-  if (bel.sc.empty()) {
+  if (bel.pending) {
+    flush_belief(p, a, b);
+  } else if (bel.sc.empty()) {
     // Lazy: drawn from the directed pair's own stream.
     const std::uint64_t n = nodes_.size();
     util::Rng stream = lazy_stream(n * n + a * n + b);
-    measure_belief(p, a, b, stream);
+    measure_belief(bel, a, b, a < b ? p.rev : p.fwd, stream);
   }
   return bel.sc[sc];
 }
@@ -368,15 +404,24 @@ void World::advance(const std::vector<channel::Location>& positions,
     // A lazy pair read only through its SNR has no taps yet: its channel
     // materializes later with the accumulated drift folded in. A pair whose
     // taps change is only marked stale: the DFT draws nothing and depends
-    // only on the final taps, so the pair's next read runs it.
-    const bool has_taps = !p.fwd.empty();
+    // only on the final taps, so the pair's next read runs it. A pending
+    // belief measures the construction channel, so the first change of the
+    // taps while one is pending keeps a copy of them.
+    const bool has_taps = p.taps.n_rx() > 0;
+    const auto keep_built_taps = [&p] {
+      if (!p.built_taps && (p.belief[0].pending || p.belief[1].pending)) {
+        p.built_taps = p.taps;
+      }
+    };
     if (has_taps && rho_d < 1.0) {
+      keep_built_taps();
       p.taps.evolve(rho_d, rng);
       p.stale = true;
     }
     // lint:allow float-equal: exact-zero delta is the draw-free no-op guard
     if (gain_delta_db != 0.0) {
       if (has_taps) {
+        keep_built_taps();
         p.taps.scale_gain(util::from_db(gain_delta_db));
         p.stale = true;
       }
@@ -391,12 +436,17 @@ void World::advance(const std::vector<channel::Location>& positions,
 void World::refresh_csi(std::size_t a, std::size_t b, util::Rng& rng) {
   assert(a != b);
   // A belief never measured (masked out, or lazy and not yet read) stays
-  // unmeasured and draws nothing.
+  // unmeasured and draws nothing. A pending one is measured first, which
+  // draws its calibration error from its own saved stream.
   const auto it = pairs_.find(pair_key(a, b));
   if (it == pairs_.end()) return;
   Pair& p = it->second;
   Belief& bel = p.belief[a > b];
-  if (bel.sc.empty()) return;
+  if (bel.pending) {
+    flush_belief(p, a, b);
+  } else if (bel.sc.empty()) {
+    return;
+  }
   if (p.stale) materialize(p);
   derive_beliefs(a < b ? p.rev : p.fwd, bel, rng);
 }

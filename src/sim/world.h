@@ -59,34 +59,40 @@ struct WorldConfig {
   // from its own label-forked RNG stream, so results are deterministic and
   // independent of access order — but NOT bit-identical to the eager modes
   // (a different, per-pair stream layout). The eager modes draw the full
-  // tx-rx cross product (O(N^2) pairs x 48 subcarriers), which tops out
-  // around 100-pair worlds; lazy worlds only pay for pairs a round
-  // actually touches (winners x receivers, plus scalar SNRs for admission),
-  // which is what makes 250/500-pair topologies fit in CI memory and time.
+  // tx-rx cross product up front (O(N^2) pairs' taps, and skip every
+  // belief's 48-subcarrier draws in order); lazy worlds only pay for pairs
+  // a round actually touches (winners x receivers, plus scalar SNRs for
+  // admission), which is what makes 250/500-pair topologies fit in CI
+  // memory and time.
   // Lazy link SNR is the pathloss+shadowing link budget (the same draw that
   // seeds the pair's channel, so the later-materialized channel realizes
   // exactly that shadowing); eager SNR additionally averages the fading
-  // realization. A lazy World mutates on read: do not share one instance
-  // across threads (the parallel harness gives each item its own world).
+  // realization. Every World mutates on read, lazy or eager (an eager one
+  // computes its channels and beliefs on their first reads): do not share
+  // one instance across threads (the parallel harness gives each item its
+  // own world).
   bool lazy_channels = false;
 };
 
 class World {
  public:
   // Places `nodes` at `locations` (testbed location indices) and draws all
-  // pairwise channels.
+  // pairwise channels. The per-subcarrier matrices, link SNRs and
+  // reciprocity beliefs are computed on first read, byte-identical to
+  // computing them here (see "Deferred eager construction" in
+  // src/README.md).
   //
   // `roles` (optional) enables the sparse mode the scenario engine uses for
   // generated large topologies: when non-empty (one NodeRole bitmask per
   // node), only pairs where one endpoint transmits and the other receives
   // get channels, reciprocity beliefs, and link SNRs — everything the round
   // builder ever touches — while rx-rx and tx-tx pairs stay unmaterialized.
-  // A full N-node world is O(N^2 * 48) matrices; with N_t transmitters and
-  // N_r receivers the sparse world is O(N_t * N_r * 48), which is what makes
-  // 100-pair (200-node) worlds fit in memory. An empty `roles` reproduces
-  // the dense behavior (and its RNG stream) exactly. Accessing a channel,
-  // belief, or SNR for a masked-out pair is a contract violation (asserted;
-  // SNR reads return -300 dB).
+  // A full N-node world holds O(N^2) pair records (48 matrices each once
+  // read); with N_t transmitters and N_r receivers the sparse world holds
+  // O(N_t * N_r), which is what makes 100-pair (200-node) worlds fit in
+  // memory. An empty `roles` reproduces the dense behavior (and its RNG
+  // stream) exactly. Accessing a channel, belief, or SNR for a masked-out
+  // pair is a contract violation (asserted; SNR reads return -300 dB).
   World(const channel::Testbed& testbed, const std::vector<NodeSpec>& nodes,
         const std::vector<std::size_t>& locations, util::Rng& rng,
         const WorldConfig& config = {},
@@ -115,6 +121,8 @@ class World {
   // The channel from a to b as *node a* can know it: reciprocity from b's
   // overheard transmission, i.e. estimate noise + calibration error.
   // Cached per (a, b): the calibration error is a fixed hardware property.
+  // An eager world's belief is the one measured at construction, however
+  // many advances pass before its first read.
   //
   // Under dynamics this cache is exactly what goes STALE: advance() evolves
   // the true channels but deliberately leaves beliefs at their
@@ -123,11 +131,10 @@ class World {
                                  std::size_t sc) const;
 
   // --- Dynamic networks --------------------------------------------------
-  // A static World is immutable after construction; the dynamics engine
-  // (sim/mobility.h + channel/evolution.h) drives it through two mutators.
-  // Neither is thread-safe — a dynamic world belongs to one session, just
-  // like a lazy one. Once advanced, even an eager world mutates on read:
-  // the first read of a pair after an advance rematerializes it.
+  // The dynamics engine (sim/mobility.h + channel/evolution.h) drives a
+  // world through two mutators. Neither is thread-safe, and neither are
+  // the const reads: the first read of a pair after construction or after
+  // an advance materializes it, so a world belongs to one session.
 
   // Current position of a node (meters on the scenario floor).
   const channel::Location& node_position(std::size_t node) const;
@@ -197,28 +204,39 @@ class World {
     // moved, so refresh_csi reuses it.
     CMat cal;
     std::vector<CMat> sc;  // per subcarrier; empty until first measured
+    // Eager worlds: the world stream as it stood where the constructor's
+    // belief pass reached this belief. The constructor skips the belief's
+    // draws on rng_ exactly (belief_gaussians); the first read measures it
+    // from this copy, against the channel as it was at construction.
+    std::optional<util::Rng> pending;
   };
 
   // The pair table: one record per unordered node pair lo < hi, keyed
-  // lo * n_nodes + hi. An eager world fills every active pair at
-  // construction; a lazy world creates a record on the pair's first read
-  // and fills each part (channel, link SNR, each belief) on its own first
-  // read. std::map is node-based, so the matrices handed out by channel()
-  // and reciprocal_channel() stay put across later lazy inserts, and
-  // key-ordered, so advance() draws in a fixed order.
+  // lo * n_nodes + hi. An eager world creates every active pair at
+  // construction with its taps drawn, its channel stale and its beliefs
+  // pending; a lazy world creates a record on the pair's first read. Either
+  // way each part (channel, link SNR, each belief) is computed on its own
+  // first read. std::map is node-based, so the matrices handed out by
+  // channel() and reciprocal_channel() stay put across later lazy inserts,
+  // and key-ordered, so advance() draws in a fixed order.
   struct Pair {
     PairDyn dyn;
     // Tap-domain channel lo -> hi: the state Gauss-Markov evolution
-    // operates on.
+    // operates on. Empty for a lazy pair whose channel was never read.
     channel::MimoChannel taps{std::vector<std::vector<channel::Samples>>{}};
+    // The taps as they were at construction, kept by advance() when it
+    // first changes them while a belief is still pending (a pending belief
+    // measures the construction channel); dropped once none is.
+    std::optional<channel::MimoChannel> built_taps;
     std::vector<CMat> fwd;  // lo -> hi per subcarrier; empty until read
     std::vector<CMat> rev;  // hi -> lo: the exact transpose (reciprocity)
     // Eager: mean realized channel power. Lazy: the link budget, shifted by
     // advance(); unset until read.
     std::optional<double> snr_db;
-    // Set by advance() when it changed the taps: fwd, rev and an eager
-    // snr_db still hold the previous taps' values until materialize()
-    // runs, which every read of them does first.
+    // Set by the eager constructor, and by advance() when it changed the
+    // taps: fwd, rev and an eager snr_db are empty or hold the previous
+    // taps' values until materialize() runs, which every read of them does
+    // first.
     bool stale = false;
     Belief belief[2];  // [0]: lo's about lo -> hi; [1]: hi's about hi -> lo
   };
@@ -239,9 +257,18 @@ class World {
   // `rng`: estimate() passes the world's own stream, belief derivation an
   // explicit one.
   void add_estimation_noise(CMat& m, util::Rng& rng) const;
-  // Draws a's calibration error about a -> b, then measures its beliefs.
-  void measure_belief(Pair& p, std::size_t a, std::size_t b,
+  // Draws a's calibration error about a -> b, then measures its beliefs
+  // from rev_chan, the channel b -> a.
+  void measure_belief(Belief& bel, std::size_t a, std::size_t b,
+                      const std::vector<CMat>& rev_chan,
                       util::Rng& rng) const;
+  // The number of gaussian() draws measure_belief makes for a's belief
+  // about a -> b.
+  std::size_t belief_gaussians(std::size_t a, std::size_t b) const;
+  // Measures a's pending belief about a -> b from its saved stream and the
+  // construction channel, then drops the pair's construction taps if no
+  // belief of it is pending any more.
+  void flush_belief(Pair& p, std::size_t a, std::size_t b) const;
   // Belief from the current reverse channel + the fixed calibration matrix,
   // written into bel.sc (reusing its matrices): shared by measure_belief
   // and refresh_csi.

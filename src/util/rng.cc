@@ -34,6 +34,28 @@ double Rng::gaussian() {
   return r * std::cos(t);
 }
 
+void Rng::discard_gaussians(std::size_t k) {
+  if (k > 0 && has_cached_) {
+    has_cached_ = false;
+    --k;
+  }
+  // Every Box-Muller pair but the last: u1 until nonzero (uniform() is
+  // zero exactly when its 53 bits are), then u2.
+  for (; k > 2; k -= 2) {
+    std::uint64_t bits;
+    do {
+      const std::uint64_t hi = gen_.next();
+      const std::uint64_t lo = gen_.next();
+      bits = ((hi << 32) | lo) >> 11;
+    } while (bits == 0);
+    gen_.next();
+    gen_.next();
+  }
+  // The last pair is evaluated: its sine half is what the cache holds
+  // afterwards, whether or not it was consumed.
+  for (; k > 0; --k) (void)gaussian();
+}
+
 std::vector<int> Rng::sample_without_replacement(int n, int k) {
   std::vector<int> all(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;

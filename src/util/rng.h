@@ -106,6 +106,13 @@ class Rng {
   // Standard normal via Box-Muller (cached second value).
   double gaussian();
 
+  // Advances the stream exactly as k calls of gaussian() would: the same
+  // generator outputs (including the u1 == 0 retry) and the same Box-Muller
+  // cache state afterwards, cached bits included. Only the last pair is
+  // evaluated (the cache keeps its sine half); every earlier one is skipped
+  // without log, sqrt, sin or cos.
+  void discard_gaussians(std::size_t k);
+
   // Normal with given mean / standard deviation.
   double gaussian(double mean, double stddev) {
     return mean + stddev * gaussian();

@@ -613,6 +613,124 @@ TEST(WorldDynamics, ReadsBetweenAdvancesDoNotChangeTheWorld) {
   }
 }
 
+TEST(WorldDynamics, BeliefsReadLateEqualBeliefsReadAtConstruction) {
+  // An eager world measures each belief on its first read, from the world
+  // stream where construction left it and against the channel as it was at
+  // construction. Two identical worlds take the same motion + Doppler
+  // advances and the same refresh_csi calls; world a reads every belief
+  // right after construction, world b first touches each one after advance
+  // 1 + i % 4 (i: the belief's index), by reading it or, for every third,
+  // by refresh_csi. Beliefs and the estimate() draws after them must be
+  // bit-equal, and estimate() must continue the world stream exactly where
+  // drawing every belief at construction would have left it.
+  for (const bool dense : {true, false}) {
+    const sim::GeneratedTopology topo = WorldFixture::make();
+    const auto build = [&] {
+      util::Rng rng(61);
+      return dense ? sim::World(topo.testbed, topo.scenario.nodes,
+                                topo.locations, rng)
+                   : sim::make_world(topo, rng);
+    };
+    sim::World a = build();
+    sim::World b = build();
+    const std::size_t n = a.n_nodes();
+    std::vector<std::pair<std::size_t, std::size_t>> beliefs;
+    for (std::size_t x = 0; x < n; ++x) {
+      for (std::size_t y = 0; y < n; ++y) {
+        if (x != y && (dense || ((topo.roles[x] & sim::kRoleTx) &&
+                                 (topo.roles[y] & sim::kRoleRx)))) {
+          beliefs.emplace_back(x, y);
+        }
+      }
+    }
+    const auto first_step = [](std::size_t i) { return 1 + i % 4; };
+    if (dense) {
+      // One pair whose two beliefs are first read at advances 2 and 3.
+      ASSERT_EQ(beliefs[1], std::make_pair(std::size_t{0}, std::size_t{2}));
+      ASSERT_EQ(beliefs[10], std::make_pair(std::size_t{2}, std::size_t{0}));
+    }
+
+    const auto read = [](const sim::World& w, std::size_t x, std::size_t y,
+                         std::vector<CMat>& out) {
+      for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+        out.push_back(w.reciprocal_channel(x, y, s));
+      }
+    };
+    std::vector<std::vector<CMat>> at_construction(beliefs.size());
+    for (std::size_t i = 0; i < beliefs.size(); ++i) {
+      read(a, beliefs[i].first, beliefs[i].second, at_construction[i]);
+    }
+
+    channel::EvolutionConfig evo;
+    evo.env_doppler_hz = 30.0;
+    util::Rng dyn_a(23), dyn_b(23), csi_a(31), csi_b(31);
+    std::vector<channel::Location> pos;
+    for (std::size_t i = 0; i < n; ++i) pos.push_back(a.node_position(i));
+    const std::vector<double> speeds(n, 1.1);
+    std::vector<CMat> want, got;
+    for (std::size_t step = 1; step <= 4; ++step) {
+      for (std::size_t i = 0; i < n; ++i) {
+        pos[i].x_m += 0.25 * static_cast<double>(step);
+        pos[i].y_m -= 0.15 * static_cast<double>(i % 4);
+      }
+      a.advance(pos, speeds, 0.02, evo, dyn_a);
+      b.advance(pos, speeds, 0.02, evo, dyn_b);
+      for (std::size_t i = 0; i < beliefs.size(); ++i) {
+        if (first_step(i) != step) continue;
+        const auto [x, y] = beliefs[i];
+        if (i % 3 == 0) {
+          a.refresh_csi(x, y, csi_a);
+          b.refresh_csi(x, y, csi_b);
+          read(a, x, y, want);
+        } else {
+          want.insert(want.end(), at_construction[i].begin(),
+                      at_construction[i].end());
+        }
+        read(b, x, y, got);
+      }
+    }
+
+    // The world stream: fork 0x77 of the caller's, then the constructor's
+    // belief draws in (a, b) order, two per complex entry: the calibration
+    // matrix and one estimation-noise matrix per subcarrier.
+    util::Rng stream = util::Rng(61).fork(0x77);
+    for (const auto& [x, y] : beliefs) {
+      const std::size_t draws = 2 * a.antennas(x) * a.antennas(y) *
+                                (1 + sim::World::kSubcarriers);
+      for (std::size_t k = 0; k < draws; ++k) (void)stream.gaussian();
+    }
+    const CMat h = a.channel(0, 1, 5);
+    const double sd = std::sqrt(a.config().estimation_noise_scale *
+                                a.noise_power() / 2.0 / 2.0);
+    for (int k = 0; k < 3; ++k) {
+      CMat ref = h;
+      for (std::size_t r = 0; r < ref.rows(); ++r) {
+        for (std::size_t c = 0; c < ref.cols(); ++c) {
+          const double re = sd * stream.gaussian();
+          ref(r, c) += linalg::cdouble{re, sd * stream.gaussian()};
+        }
+      }
+      const CMat est_a = a.estimate(h);
+      want.push_back(ref);
+      got.push_back(est_a);
+      want.push_back(est_a);
+      got.push_back(b.estimate(h));
+    }
+
+    ASSERT_EQ(want.size(), got.size()) << "dense=" << dense;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(want[k].rows(), got[k].rows());
+      ASSERT_EQ(want[k].cols(), got[k].cols());
+      for (std::size_t r = 0; r < want[k].rows(); ++r) {
+        for (std::size_t c = 0; c < want[k].cols(); ++c) {
+          EXPECT_EQ(want[k](r, c), got[k](r, c))
+              << "matrix " << k << " dense=" << dense;
+        }
+      }
+    }
+  }
+}
+
 // --- Churn mask at the round level --------------------------------------
 
 TEST(ChurnMask, AllOnesMaskIsBitIdenticalToNoMask) {

@@ -1,6 +1,7 @@
 // Tests for util: deterministic RNG, distributions, statistics, units.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -215,6 +216,52 @@ TEST(Rng, ForkSequentialLabelsDistinctFirstDraws) {
   }
   // Allow a couple of birthday coincidences in the low bits, no more.
   EXPECT_GE(seen.size(), static_cast<std::size_t>(kStreams - 2));
+}
+
+TEST(Rng, DiscardGaussiansMatchesDrawing) {
+  // State 0 makes the first 32-bit output 0, so uniform() is exactly 0 when
+  // the output from state = increment is below 2^11 too: gaussian() must
+  // then retry u1. Bounded search for such an odd increment.
+  std::uint64_t inc = 0;
+  for (std::uint64_t c = 1; c < (1ULL << 24) && inc == 0; c += 2) {
+    if (Rng::restore({{0, c}, false, 0.0}).uniform() == 0.0) inc = c;
+  }
+  ASSERT_NE(inc, 0U);
+  const Rng::State zero_u1{{0, inc}, false, 0.0};
+  {
+    // The crafted start does take the retry: one gaussian() consumes six
+    // generator outputs (u1 = 0, u1, u2), not four.
+    Pcg32 six = Pcg32::from_raw(zero_u1.gen);
+    for (int i = 0; i < 6; ++i) (void)six.next();
+    Rng g = Rng::restore(zero_u1);
+    (void)g.gaussian();
+    EXPECT_EQ(g.save().gen.state, six.raw().state);
+  }
+  Rng cached(11);
+  (void)cached.gaussian();
+  ASSERT_TRUE(cached.save().has_cached);
+
+  const std::pair<const char*, Rng::State> starts[] = {
+      {"fresh", Rng(7).save()},
+      {"cached", cached.save()},
+      {"zero u1", zero_u1},
+  };
+  for (const auto& [name, start] : starts) {
+    for (std::size_t k = 0; k <= 9; ++k) {
+      Rng drawn = Rng::restore(start);
+      for (std::size_t i = 0; i < k; ++i) (void)drawn.gaussian();
+      Rng skipped = Rng::restore(start);
+      skipped.discard_gaussians(k);
+      const Rng::State want = drawn.save();
+      const Rng::State got = skipped.save();
+      EXPECT_EQ(got.gen.state, want.gen.state) << name << " k=" << k;
+      EXPECT_EQ(got.gen.inc, want.gen.inc) << name << " k=" << k;
+      EXPECT_EQ(got.has_cached, want.has_cached) << name << " k=" << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cached),
+                std::bit_cast<std::uint64_t>(want.cached))
+          << name << " k=" << k;
+    }
+  }
 }
 
 TEST(RunningStats, Basics) {
