@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "baselines/beamforming.h"
 #include "baselines/dot11n.h"
@@ -343,6 +346,69 @@ TEST(IsolatedTx, MuBeamformingSeparatesClients) {
     return;
   }
   GTEST_SKIP() << "no strong placement";
+}
+
+// Byte pins for the baselines' scoring path: every golden fixture and
+// benchmark digest runs the n+ scheme, so nothing else catches a changed
+// bit in evaluate_isolated_tx. Values were printed with %.17g (exact
+// round trip) from the implementation they pin.
+TEST(IsolatedTx, PinnedOutcomes) {
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    bool ap;  // ap_scenario(), else three_pair_scenario()
+    IsolatedTxSpec spec;
+    Fidelity fidelity;
+    double airtime_s;
+    std::vector<LinkOutcome> outcomes;  // streams, mcs, esnr, final, per,
+                                        // delivered, offered
+  };
+  const IsolatedTxSpec siso{0, {{0, 1, 1}}, false};
+  const IsolatedTxSpec mimo3{4, {{2, 5, 3}}, false};
+  const IsolatedTxSpec mu{2, {{1, 3, 2}, {2, 4, 1}}, true};
+  const std::vector<Case> cases = {
+      {"siso", 5, false, siso, Fidelity::kAbstracted, 0.00059199999999999997,
+       {{1, 7, 29.341347809226548, 29.341347809226548, 0, 12000, 12000}}},
+      {"siso", 5, false, siso, Fidelity::kFullPhy, 0.00059199999999999997,
+       {{1, 7, 29.341347809226548, 29.341347809226548, 0, 12000, 12000}}},
+      {"3x3", 5, false, mimo3, Fidelity::kAbstracted, 0.00040000000000000002,
+       {{3, 5, 16.833939287538865, 16.833939287538865,
+         0.0011517541345289484, 11986.178950385653, 12000}}},
+      {"3x3", 5, false, mimo3, Fidelity::kFullPhy, 0.00040000000000000002,
+       {{3, 5, 16.833939287538865, 16.833939287538865, 0, 12000, 12000}}},
+      {"mu", 2, true, mu, Fidelity::kAbstracted, 0.0011839999999999997,
+       {{2, 2, 9.4847690526537995, 9.4847690526537995, 0, 12000, 12000},
+        {1, 5, 17.621197655178008, 17.621197655178008, 0, 12000, 12000}}},
+      {"mu", 2, true, mu, Fidelity::kFullPhy, 0.0011839999999999997,
+       {{2, 2, 9.4847690526537995, 9.4847690526537995, 0, 12000, 12000},
+        {1, 5, 17.621197655178008, 17.621197655178008, 0, 12000, 12000}}},
+  };
+  const channel::Testbed tb;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) +
+                 (c.fidelity == Fidelity::kFullPhy ? " full" : " abstracted"));
+    util::Rng rng(c.seed);
+    const Scenario sc = c.ap ? ap_scenario() : three_pair_scenario();
+    const auto locs = tb.random_placement(sc.nodes.size(), rng);
+    const World w(tb, sc.nodes, locs, rng, {});
+    RoundConfig cfg;
+    cfg.fidelity = c.fidelity;
+    const IsolatedTxResult res = evaluate_isolated_tx(w, c.spec, rng, cfg);
+    EXPECT_EQ(res.airtime_s, c.airtime_s);
+    EXPECT_EQ(res.degenerate_esnr, 0u);
+    ASSERT_EQ(res.outcomes.size(), c.outcomes.size());
+    for (std::size_t d = 0; d < c.outcomes.size(); ++d) {
+      const LinkOutcome& got = res.outcomes[d];
+      const LinkOutcome& want = c.outcomes[d];
+      EXPECT_EQ(got.streams, want.streams) << d;
+      EXPECT_EQ(got.mcs_index, want.mcs_index) << d;
+      EXPECT_EQ(got.esnr_db, want.esnr_db) << d;
+      EXPECT_EQ(got.final_esnr_db, want.final_esnr_db) << d;
+      EXPECT_EQ(got.per, want.per) << d;
+      EXPECT_EQ(got.delivered_bits, want.delivered_bits) << d;
+      EXPECT_EQ(got.offered_bits, want.offered_bits) << d;
+    }
+  }
 }
 
 TEST(Runner, SamplesHaveExpectedShape) {
