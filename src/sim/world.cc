@@ -194,9 +194,8 @@ void World::add_estimation_noise(CMat& m, util::Rng& rng) const {
   }
 }
 
-void World::measure_belief(Belief& bel, std::size_t a, std::size_t b,
-                           const std::vector<CMat>& rev_chan,
-                           util::Rng& rng) const {
+void World::draw_calibration(Belief& bel, std::size_t a, std::size_t b,
+                             util::Rng& rng) const {
   // Constant across subcarriers: hardware chains are flat over 10 MHz.
   bel.cal.resize(nodes_[b].n_antennas, nodes_[a].n_antennas);
   for (std::size_t r = 0; r < bel.cal.rows(); ++r) {
@@ -206,6 +205,12 @@ void World::measure_belief(Belief& bel, std::size_t a, std::size_t b,
                                             config_.calibration_std);
     }
   }
+}
+
+void World::measure_belief(Belief& bel, std::size_t a, std::size_t b,
+                           const std::vector<CMat>& rev_chan,
+                           util::Rng& rng) const {
+  draw_calibration(bel, a, b, rng);
   derive_beliefs(rev_chan, bel, rng);
 }
 
@@ -235,6 +240,10 @@ void World::flush_belief(Pair& p, std::size_t a, std::size_t b) const {
   const std::vector<CMat>& built = p.built_taps ? (a < b ? rev : fwd)
                                                 : (a < b ? p.rev : p.fwd);
   measure_belief(bel, a, b, built, *bel.pending);
+  drop_pending(p, bel);
+}
+
+void World::drop_pending(Pair& p, Belief& bel) {
   bel.pending.reset();
   if (!p.belief[0].pending && !p.belief[1].pending) p.built_taps.reset();
 }
@@ -436,14 +445,16 @@ void World::advance(const std::vector<channel::Location>& positions,
 void World::refresh_csi(std::size_t a, std::size_t b, util::Rng& rng) {
   assert(a != b);
   // A belief never measured (masked out, or lazy and not yet read) stays
-  // unmeasured and draws nothing. A pending one is measured first, which
-  // draws its calibration error from its own saved stream.
+  // unmeasured and draws nothing. A pending one draws its calibration
+  // error from its own saved stream; the beliefs it would measure from the
+  // construction channel are all overwritten below, so they are skipped.
   const auto it = pairs_.find(pair_key(a, b));
   if (it == pairs_.end()) return;
   Pair& p = it->second;
   Belief& bel = p.belief[a > b];
   if (bel.pending) {
-    flush_belief(p, a, b);
+    draw_calibration(bel, a, b, *bel.pending);
+    drop_pending(p, bel);
   } else if (bel.sc.empty()) {
     return;
   }

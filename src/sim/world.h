@@ -207,7 +207,8 @@ class World {
     // Eager worlds: the world stream as it stood where the constructor's
     // belief pass reached this belief. The constructor skips the belief's
     // draws on rng_ exactly (belief_gaussians); the first read measures it
-    // from this copy, against the channel as it was at construction.
+    // from this copy, against the channel as it was at construction (a
+    // first-touch refresh_csi takes only the calibration from it).
     std::optional<util::Rng> pending;
   };
 
@@ -257,8 +258,11 @@ class World {
   // `rng`: estimate() passes the world's own stream, belief derivation an
   // explicit one.
   void add_estimation_noise(CMat& m, util::Rng& rng) const;
-  // Draws a's calibration error about a -> b, then measures its beliefs
-  // from rev_chan, the channel b -> a.
+  // Draws a's calibration error about a -> b into bel.cal.
+  void draw_calibration(Belief& bel, std::size_t a, std::size_t b,
+                        util::Rng& rng) const;
+  // draw_calibration, then measures a's beliefs from rev_chan, the channel
+  // b -> a.
   void measure_belief(Belief& bel, std::size_t a, std::size_t b,
                       const std::vector<CMat>& rev_chan,
                       util::Rng& rng) const;
@@ -269,6 +273,9 @@ class World {
   // construction channel, then drops the pair's construction taps if no
   // belief of it is pending any more.
   void flush_belief(Pair& p, std::size_t a, std::size_t b) const;
+  // Clears bel's pending stream, and drops p's construction taps once no
+  // belief of the pair is pending.
+  static void drop_pending(Pair& p, Belief& bel);
   // Belief from the current reverse channel + the fixed calibration matrix,
   // written into bel.sc (reusing its matrices): shared by measure_belief
   // and refresh_csi.

@@ -88,6 +88,9 @@ double ByteReader::f64() {
 
 void ByteReader::bytes(void* out, std::size_t n) {
   if (remaining() < n) throw CheckpointError("truncated record (bytes)");
+  // An empty record may come with a null `out` (an empty vector's data()),
+  // and memcpy with a null pointer is undefined even for zero bytes.
+  if (n == 0) return;
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
 }
