@@ -1,7 +1,5 @@
 #include "baselines/beamforming.h"
 
-#include <algorithm>
-
 namespace nplus::baselines {
 
 sim::RoundFn make_beamforming_round_fn(const sim::Scenario& scenario,
@@ -18,22 +16,12 @@ sim::RoundFn make_beamforming_round_fn(const sim::Scenario& scenario,
 
     // Stream split: round-robin up to the transmitter's antennas, capped by
     // each receiver's antennas.
-    std::vector<std::size_t> streams(links.size(), 0);
-    std::size_t m = 0;
-    bool progress = true;
-    while (m < world.antennas(tx) && progress) {
-      progress = false;
-      for (std::size_t d = 0; d < links.size(); ++d) {
-        if (m >= world.antennas(tx)) break;
-        const std::size_t cap =
-            world.antennas(scenario.links[links[d]].rx_node);
-        if (streams[d] < cap) {
-          ++streams[d];
-          ++m;
-          progress = true;
-        }
-      }
+    std::vector<std::size_t> caps;
+    for (std::size_t li : links) {
+      caps.push_back(world.antennas(scenario.links[li].rx_node));
     }
+    const std::vector<std::size_t> streams =
+        sim::round_robin_streams(world.antennas(tx), caps);
 
     sim::IsolatedTxSpec spec;
     spec.tx_node = tx;

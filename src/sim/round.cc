@@ -24,30 +24,13 @@ using phy::Mcs;
 
 constexpr std::size_t kSc = World::kSubcarriers;
 
-// Clamps non-finite post-equalization SINRs to zero and reports how many
-// there were. Near-singular evolved channels (and injected degenerate CSI)
-// can push the ZF math to NaN/Inf; a zero SINR takes the same "this stream
-// is undecodable" path every downstream consumer already handles, instead
-// of NaN propagating into eSNR averages and PER tables. Finite values —
-// including legitimate zeros and negatives — pass through untouched, so
-// the fault-free trace is unchanged.
-std::size_t sanitize_sinrs(std::vector<double>& sinrs) {
-  std::size_t n = 0;
-  for (double& s : sinrs) {
-    if (!std::isfinite(s)) {
-      s = 0.0;
-      ++n;
-    }
-  }
-  return n;
-}
-
 // Batched per-subcarrier effective channel: eff[s] = amp * (H_s * V_s) for
 // every subcarrier at once through the SIMD matmul + scale kernels. Per
 // lane the kernels run the exact op sequence of the scalar
 // `amp * (w.channel(a, b, s) * v[s])`, so the unpacked matrices are
-// byte-identical to the per-subcarrier scalar products (the two fidelity
-// modes share this path through eff_true and the RTS-channel loop).
+// byte-identical to the per-subcarrier scalar products. Every effective
+// channel in this file comes from here: eff_true, the RTS-channel loop and
+// evaluate_isolated_tx.
 std::vector<CMat> batched_effective(const World& w, std::size_t tx,
                                     std::size_t node,
                                     const std::vector<CMat>& v,
@@ -68,7 +51,103 @@ std::vector<CMat> batched_effective(const World& w, std::size_t tx,
   return eff;
 }
 
+// Copies the columns of `m` listed in `picked` (ascending) into `in` and,
+// when `rest` is given, every other column into *rest, each in column order.
+void split_columns(const CMat& m, const std::vector<std::size_t>& picked,
+                   CMat& in, CMat* rest = nullptr) {
+  in.resize(m.rows(), picked.size());
+  if (rest != nullptr) rest->resize(m.rows(), m.cols() - picked.size());
+  std::size_t n_in = 0;
+  std::size_t n_rest = 0;
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    const bool is_in =
+        std::find(picked.begin(), picked.end(), c) != picked.end();
+    if (!is_in && rest == nullptr) continue;
+    CMat& dst = is_in ? in : *rest;
+    const std::size_t dc = is_in ? n_in++ : n_rest++;
+    for (std::size_t r = 0; r < m.rows(); ++r) dst(r, dc) = m(r, c);
+  }
+}
+
+// Post-combining SINRs of one link's streams over every subcarrier, plus,
+// for full-PHY scoring, each stream's per-subcarrier observation models.
+struct StreamSinrs {
+  StreamSinrs(std::size_t n_streams, bool with_models)
+      : n(n_streams), models(with_models ? n_streams : 0) {
+    all.reserve(kSc * n_streams);
+    for (auto& mv : models) mv.reserve(kSc);
+  }
+
+  void add(const RxObservation& obs) {
+    if (models.empty()) {
+      const std::vector<double> sinr = zf_stream_sinr(obs);
+      all.insert(all.end(), sinr.begin(), sinr.end());
+      return;
+    }
+    std::vector<phy::StreamRxModel> m = zf_stream_rx_models(obs);
+    for (std::size_t j = 0; j < n; ++j) {
+      all.push_back(m[j].sinr);
+      models[j].push_back(std::move(m[j]));
+    }
+  }
+
+  // Clamps non-finite SINRs to zero, returning how many there were, and
+  // resets non-finite full-PHY models to the zero-gain form. Near-singular
+  // evolved channels (and injected degenerate CSI) can push the ZF math to
+  // NaN/Inf; zero takes the "undecodable stream" path every consumer
+  // already handles, instead of NaN reaching eSNR averages and PER tables.
+  // Finite values pass through untouched.
+  std::size_t sanitize() {
+    std::size_t bad = 0;
+    for (double& s : all) {
+      if (!std::isfinite(s)) {
+        s = 0.0;
+        ++bad;
+      }
+    }
+    for (auto& mv : models) {
+      for (phy::StreamRxModel& m : mv) {
+        if (!std::isfinite(m.sinr) || !std::isfinite(m.noise_var) ||
+            !std::isfinite(std::norm(m.gain))) {
+          m = phy::StreamRxModel{};
+        }
+      }
+    }
+    return bad;
+  }
+
+  // Stream j's SINRs in subcarrier order.
+  std::vector<double> stream(std::size_t j) const {
+    std::vector<double> out;
+    out.reserve(kSc);
+    for (std::size_t i = j; i < all.size(); i += n) out.push_back(all[i]);
+    return out;
+  }
+
+  std::size_t n;
+  std::vector<double> all;  // subcarrier-major: all[s * n + j]
+  std::vector<std::vector<phy::StreamRxModel>> models;  // [stream][sc]
+};
+
 }  // namespace
+
+std::vector<std::size_t> round_robin_streams(
+    std::size_t budget, const std::vector<std::size_t>& caps) {
+  std::vector<std::size_t> streams(caps.size(), 0);
+  std::size_t m = 0;
+  bool progress = true;
+  while (m < budget && progress) {
+    progress = false;
+    for (std::size_t d = 0; d < caps.size() && m < budget; ++d) {
+      if (streams[d] < caps[d]) {
+        ++streams[d];
+        ++m;
+        progress = true;
+      }
+    }
+  }
+  return streams;
+}
 
 std::vector<std::size_t> Scenario::transmitters() const {
   std::vector<std::size_t> out;
@@ -112,6 +191,10 @@ struct ActiveGroup {
   // transmission (§3.1/§6.3), so a joiner pays in lost body symbols, not in
   // extra round airtime.
   double body_start_offset_s = 0.0;
+  // Per receiving node, filled on first use: this group's true effective
+  // channel there and the one receiver-side estimate made of it.
+  std::map<std::size_t, std::vector<CMat>> eff_true_at;
+  std::map<std::size_t, std::vector<CMat>> eff_est_at;
 };
 
 class RoundBuilder {
@@ -165,16 +248,21 @@ class RoundBuilder {
   // from group g's data preamble / overheard handshake).
   const std::vector<CMat>& eff_est(std::size_t g, std::size_t node);
 
-  // Interference estimate at `node`: stacked eff_est of groups != `except`.
-  CMat stacked_est_interference(std::size_t node, std::size_t s,
-                                std::size_t except);
+  // Interference estimate at `node`: the stacked eff_est of every group.
+  CMat stacked_est_interference(std::size_t node, std::size_t s);
 
   bool admission_ok(std::size_t tx, double* power_backoff_db) const;
   bool try_join(std::size_t tx);
   // One attempt at joining with at most `m_target` streams; rolls itself
   // back and returns false if no link of the group can sustain any rate.
   bool try_join_with(std::size_t tx, std::size_t m_target);
-  void rollback_group(std::size_t g_idx);
+  void rollback_group();
+
+  // Link l of group g on subcarrier s as its receiver sees it with every
+  // group on the air: g's other links' streams interfere at position g of
+  // the group order. At join time g is the last group, so this is also the
+  // joiner's view. g_est is left to the caller.
+  RxObservation observe(std::size_t g, const ActiveLink& l, std::size_t s);
 
   void finalize(RoundResult& result);
 
@@ -203,42 +291,49 @@ class RoundBuilder {
   std::size_t used_dof_ = 0;
   double primary_overhead_s_ = 0.0;   // primary contention + first handshake
   double joiner_offset_s_ = 0.0;      // accumulated joiner delay (see above)
-
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<CMat>>
-      eff_true_cache_;
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<CMat>>
-      eff_est_cache_;
 };
 
 const std::vector<CMat>& RoundBuilder::eff_true(std::size_t g,
                                                 std::size_t node) {
-  const auto key = std::make_pair(g, node);
-  auto it = eff_true_cache_.find(key);
-  if (it != eff_true_cache_.end()) return it->second;
-
-  const ActiveGroup& grp = groups_[g];
-  std::vector<CMat> eff = batched_effective(w_, grp.tx_node, node, grp.v,
-                                            cdouble{grp.stream_amp, 0.0});
-  return eff_true_cache_.emplace(key, std::move(eff)).first->second;
+  ActiveGroup& grp = groups_[g];
+  auto it = grp.eff_true_at.find(node);
+  if (it != grp.eff_true_at.end()) return it->second;
+  return grp.eff_true_at
+      .emplace(node, batched_effective(w_, grp.tx_node, node, grp.v,
+                                       cdouble{grp.stream_amp, 0.0}))
+      .first->second;
 }
 
 const std::vector<CMat>& RoundBuilder::eff_est(std::size_t g,
                                                std::size_t node) {
-  const auto key = std::make_pair(g, node);
-  auto it = eff_est_cache_.find(key);
-  if (it != eff_est_cache_.end()) return it->second;
-
+  ActiveGroup& grp = groups_[g];
+  auto it = grp.eff_est_at.find(node);
+  if (it != grp.eff_est_at.end()) return it->second;
   const std::vector<CMat>& truth = eff_true(g, node);
   std::vector<CMat> est(kSc);
   for (std::size_t s = 0; s < kSc; ++s) est[s] = w_.estimate(truth[s]);
-  return eff_est_cache_.emplace(key, std::move(est)).first->second;
+  return grp.eff_est_at.emplace(node, std::move(est)).first->second;
 }
 
-CMat RoundBuilder::stacked_est_interference(std::size_t node, std::size_t s,
-                                            std::size_t except) {
+RxObservation RoundBuilder::observe(std::size_t g, const ActiveLink& l,
+                                    std::size_t s) {
+  RxObservation obs;
+  CMat siblings;
+  split_columns(eff_true(g, l.rx_node)[s], l.cols, obs.g_true, &siblings);
+  obs.interference_true = CMat(w_.antennas(l.rx_node), 0);
+  for (std::size_t og = 0; og < groups_.size(); ++og) {
+    obs.interference_true = obs.interference_true.hstack(
+        og == g ? siblings : eff_true(og, l.rx_node)[s]);
+  }
+  obs.unwanted_basis = l.advertised_u[s];
+  obs.noise_power = w_.noise_power();
+  return obs;
+}
+
+CMat RoundBuilder::stacked_est_interference(std::size_t node,
+                                            std::size_t s) {
   CMat out(w_.antennas(node), 0);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (g == except) continue;
     out = out.hstack(eff_est(g, node)[s]);
   }
   return out;
@@ -277,68 +372,46 @@ bool RoundBuilder::try_join(std::size_t tx) {
   return false;
 }
 
-void RoundBuilder::rollback_group(std::size_t g_idx) {
-  used_dof_ -= groups_[g_idx].m;
+void RoundBuilder::rollback_group() {
+  used_dof_ -= groups_.back().m;
   groups_.pop_back();
-  for (auto it = eff_true_cache_.begin(); it != eff_true_cache_.end();) {
-    it = it->first.first == g_idx ? eff_true_cache_.erase(it) : ++it;
-  }
-  for (auto it = eff_est_cache_.begin(); it != eff_est_cache_.end();) {
-    it = it->first.first == g_idx ? eff_est_cache_.erase(it) : ++it;
-  }
 }
 
 bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
   const std::size_t m_ant = w_.antennas(tx);
-  const std::size_t m_avail = m_target;
 
   // Allocate streams across this transmitter's links, capped by each
-  // receiver's ability to decode in the presence of the existing DoF.
+  // receiver's ability to decode in the presence of the existing DoF, and
+  // give each link its global stream columns.
   std::vector<ActiveLink> links;
+  std::vector<std::size_t> caps;
   for (std::size_t li : active_links_of(tx)) {
     const std::size_t n_rx = w_.antennas(sc_.links[li].rx_node);
     if (n_rx <= used_dof_) continue;
     ActiveLink l;
     l.link_idx = li;
     l.rx_node = sc_.links[li].rx_node;
-    l.n_streams = 0;
     links.push_back(l);
+    caps.push_back(n_rx - used_dof_);
   }
-  if (links.empty()) return false;
-  // Round-robin stream allocation.
+  const std::vector<std::size_t> streams =
+      round_robin_streams(m_target, caps);
   std::size_t m = 0;
-  bool progress = true;
-  while (m < m_avail && progress) {
-    progress = false;
-    for (auto& l : links) {
-      if (m >= m_avail) break;
-      const std::size_t cap = w_.antennas(l.rx_node) - used_dof_;
-      if (l.n_streams < cap) {
-        ++l.n_streams;
-        ++m;
-        progress = true;
-      }
-    }
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    links[i].n_streams = streams[i];
+    for (std::size_t k = 0; k < streams[i]; ++k) links[i].cols.push_back(m++);
   }
   links.erase(std::remove_if(links.begin(), links.end(),
                              [](const ActiveLink& l) {
                                return l.n_streams == 0;
                              }),
               links.end());
-  if (m == 0 || links.empty()) return false;
+  if (links.empty()) return false;
 
   // Admission / power control (§4).
   double backoff_db = 0.0;
   if (!admission_ok(tx, &backoff_db)) return false;
   const double power_scale = util::from_db(backoff_db);
-
-  // Assign global stream columns per link.
-  std::size_t next_col = 0;
-  for (auto& l : links) {
-    for (std::size_t i = 0; i < l.n_streams; ++i) {
-      l.cols.push_back(next_col++);
-    }
-  }
 
   // --- Precoder (§3.3) --------------------------------------------------
   // Ongoing constraints from every active receiver, per subcarrier. A
@@ -389,14 +462,9 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
         w_, tx, l.rx_node, v_rts, cdouble{grp.stream_amp, 0.0});
     for (std::size_t s = 0; s < kSc; ++s) {
       const CMat g_rts_est = w_.estimate(g_rts_all[s]);
-      CMat g_own(g_rts_est.rows(), 0);
-      CMat f_est = stacked_est_interference(l.rx_node, s, SIZE_MAX);
-      for (std::size_t c = 0; c < g_rts_est.cols(); ++c) {
-        const CMat col = g_rts_est.block(0, g_rts_est.rows(), c, c + 1);
-        if (std::find(l.cols.begin(), l.cols.end(), c) != l.cols.end()) {
-          g_own = g_own.hstack(col);
-        }
-      }
+      CMat f_est = stacked_est_interference(l.rx_node, s);
+      CMat g_own;
+      split_columns(g_rts_est, l.cols, g_own);
       l.advertised_u[s] =
           advertised_unwanted_space(g_own, f_est, l.n_streams);
     }
@@ -428,35 +496,13 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
 
   // --- Rate selection at join time (§3.4) -------------------------------
   for (auto& l : groups_[g_idx].links) {
-    const std::vector<CMat>& truth = eff_true(g_idx, l.rx_node);
     l.g_est.resize(kSc);
-    std::vector<double> sinrs;
-    sinrs.reserve(kSc * l.n_streams);
+    StreamSinrs sinrs(l.n_streams, false);
     for (std::size_t s = 0; s < kSc; ++s) {
-      RxObservation obs;
-      obs.g_true = CMat(w_.antennas(l.rx_node), 0);
-      for (std::size_t c : l.cols) {
-        obs.g_true = obs.g_true.hstack(
-            truth[s].block(0, truth[s].rows(), c, c + 1));
-      }
+      RxObservation obs = observe(g_idx, l, s);
       obs.g_est = w_.estimate(obs.g_true);
       l.g_est[s] = obs.g_est;
-      // Interference: earlier groups + this group's other-link columns.
-      CMat f(w_.antennas(l.rx_node), 0);
-      for (std::size_t g = 0; g + 1 < groups_.size(); ++g) {
-        f = f.hstack(eff_true(g, l.rx_node)[s]);
-      }
-      for (const auto& other : groups_[g_idx].links) {
-        if (other.link_idx == l.link_idx) continue;
-        for (std::size_t c : other.cols) {
-          f = f.hstack(truth[s].block(0, truth[s].rows(), c, c + 1));
-        }
-      }
-      obs.interference_true = f;
-      obs.unwanted_basis = l.advertised_u[s];
-      obs.noise_power = w_.noise_power();
-      const std::vector<double> sinr = zf_stream_sinr(obs);
-      sinrs.insert(sinrs.end(), sinr.begin(), sinr.end());
+      sinrs.add(obs);
     }
     // Injected degenerate CSI: this link's measurement came back as
     // garbage this round. Poison its SINRs so the sanitizer clamps them
@@ -464,25 +510,27 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
     // transmitting with a nonsense projection.
     if (cfg_.faults != nullptr &&
         cfg_.faults->channel_degenerate(l.link_idx)) {
-      for (double& s : sinrs) s = std::numeric_limits<double>::quiet_NaN();
+      for (double& s : sinrs.all) {
+        s = std::numeric_limits<double>::quiet_NaN();
+      }
     }
-    degen_count_ += sanitize_sinrs(sinrs);
+    degen_count_ += sinrs.sanitize();
     if (cfg_.rate_control != nullptr) {
       // History-driven adaptation: the transmitter uses its AARF state, not
       // the oracle eSNR — it has no way to measure the post-projection SNR
       // it is about to get. The eSNR is still recorded for diagnostics.
       l.mcs = cfg_.rate_control->select(l.link_idx);
       l.esnr_db = util::to_db(std::max(
-          phy::effective_snr(sinrs,
+          phy::effective_snr(sinrs.all,
                              phy::mcs_by_index(l.mcs).modulation),
           1e-30));
       continue;
     }
-    const Mcs* mcs = phy::select_mcs_esnr(sinrs, cfg_.rate_margin_db);
+    const Mcs* mcs = phy::select_mcs_esnr(sinrs.all, cfg_.rate_margin_db);
     if (mcs != nullptr) {
       l.mcs = mcs->index;
       l.esnr_db = util::to_db(std::max(
-          phy::effective_snr(sinrs, mcs->modulation), 1e-30));
+          phy::effective_snr(sinrs.all, mcs->modulation), 1e-30));
     }
   }
 
@@ -493,7 +541,7 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
     bool any_rate = false;
     for (const auto& l : groups_[g_idx].links) any_rate |= l.mcs >= 0;
     if (!any_rate) {
-      rollback_group(g_idx);
+      rollback_group();
       return false;
     }
   }
@@ -541,74 +589,17 @@ void RoundBuilder::finalize(RoundResult& result) {
       if (l.mcs < 0) continue;
       const Mcs& mcs = phy::mcs_by_index(l.mcs);
 
-      const std::vector<CMat>& truth = eff_true(g, l.rx_node);
-      std::vector<double> sinrs;
-      sinrs.reserve(kSc * l.n_streams);
-      std::vector<std::vector<double>> stream_sinr(l.n_streams);
-      for (auto& v : stream_sinr) v.reserve(kSc);
-      // Per-stream symbol observation models, kept only for full-PHY
-      // scoring (kSc entries per stream once the loop finishes).
-      std::vector<std::vector<phy::StreamRxModel>> stream_models(
-          cfg_.fidelity == Fidelity::kFullPhy ? l.n_streams : 0);
-      for (auto& v : stream_models) v.reserve(kSc);
+      // Near-singular evolved channels can blow up the final ZF math even
+      // when rate selection looked sane: sanitize before any consumer.
+      StreamSinrs sinrs(l.n_streams, cfg_.fidelity == Fidelity::kFullPhy);
       for (std::size_t s = 0; s < kSc; ++s) {
-        RxObservation obs;
-        obs.g_true = CMat(w_.antennas(l.rx_node), 0);
-        for (std::size_t c : l.cols) {
-          obs.g_true = obs.g_true.hstack(
-              truth[s].block(0, truth[s].rows(), c, c + 1));
-        }
+        RxObservation obs = observe(g, l, s);
         obs.g_est = l.g_est[s];
-        CMat f(w_.antennas(l.rx_node), 0);
-        for (std::size_t og = 0; og < groups_.size(); ++og) {
-          if (og == g) {
-            for (const auto& other : groups_[g].links) {
-              if (other.link_idx == l.link_idx) continue;
-              for (std::size_t c : other.cols) {
-                f = f.hstack(truth[s].block(0, truth[s].rows(), c, c + 1));
-              }
-            }
-          } else {
-            f = f.hstack(eff_true(og, l.rx_node)[s]);
-          }
-        }
-        obs.interference_true = f;
-        obs.unwanted_basis = l.advertised_u[s];
-        obs.noise_power = w_.noise_power();
-        if (stream_models.empty()) {
-          const std::vector<double> sinr = zf_stream_sinr(obs);
-          for (std::size_t j = 0; j < sinr.size() && j < l.n_streams;
-               ++j) {
-            sinrs.push_back(sinr[j]);
-            stream_sinr[j].push_back(sinr[j]);
-          }
-        } else {
-          std::vector<phy::StreamRxModel> models =
-              zf_stream_rx_models(obs);
-          for (std::size_t j = 0; j < models.size() && j < l.n_streams;
-               ++j) {
-            sinrs.push_back(models[j].sinr);
-            stream_sinr[j].push_back(models[j].sinr);
-            stream_models[j].push_back(std::move(models[j]));
-          }
-        }
+        sinrs.add(obs);
       }
-      // Near-singular evolved channels can make the final ZF math blow up
-      // even when rate selection looked sane; clamp (and count) before any
-      // eSNR/PER consumer sees it. A non-finite full-PHY model resets to
-      // the zero-gain "undecodable stream" form the scorer already handles.
-      degen_count_ += sanitize_sinrs(sinrs);
-      for (auto& sv : stream_sinr) sanitize_sinrs(sv);
-      for (auto& mv : stream_models) {
-        for (phy::StreamRxModel& m : mv) {
-          if (!std::isfinite(m.sinr) || !std::isfinite(m.noise_var) ||
-              !std::isfinite(std::norm(m.gain))) {
-            m = phy::StreamRxModel{};
-          }
-        }
-      }
+      degen_count_ += sinrs.sanitize();
       out.final_esnr_db = util::to_db(std::max(
-          phy::effective_snr(sinrs, mcs.modulation), 1e-30));
+          phy::effective_snr(sinrs.all, mcs.modulation), 1e-30));
 
       // Joiners start their bodies late (secondary contention + handshake
       // ran during the ongoing transmission) but must end with the first
@@ -644,7 +635,7 @@ void RoundBuilder::finalize(RoundResult& result) {
             static_cast<std::size_t>(stream_bits / 8.0);
         for (std::size_t j = 0; j < l.n_streams; ++j) {
           const double esnr_j = util::to_db(std::max(
-              phy::effective_snr(stream_sinr[j], mcs.modulation), 1e-30));
+              phy::effective_snr(sinrs.stream(j), mcs.modulation), 1e-30));
           const double p = table.per(mcs, esnr_j, stream_bytes);
           per_acc += p;
           delivered += stream_bits * (1.0 - p);
@@ -656,7 +647,7 @@ void RoundBuilder::finalize(RoundResult& result) {
             phy::payload_bytes_for_symbols(n_sym, mcs);
         for (std::size_t j = 0; j < l.n_streams; ++j) {
           const bool ok = phy::simulate_stream_delivery_mimo(
-              payload_bytes, mcs, stream_models[j], phy_rng_);
+              payload_bytes, mcs, sinrs.models[j], phy_rng_);
           per_acc += ok ? 0.0 : 1.0;
           delivered += ok ? stream_bits : 0.0;
         }
@@ -776,21 +767,18 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
   result.outcomes.assign(spec.dests.size(), LinkOutcome{});
 
   const std::size_t m_ant = world.antennas(spec.tx_node);
+  // Destination d owns the next dests[d].n_streams precoder columns.
   std::size_t m = 0;
-  for (const auto& d : spec.dests) m += d.n_streams;
+  std::vector<std::vector<std::size_t>> cols(spec.dests.size());
+  for (std::size_t d = 0; d < spec.dests.size(); ++d) {
+    for (std::size_t i = 0; i < spec.dests[d].n_streams; ++i) {
+      cols[d].push_back(m++);
+    }
+  }
   assert(m <= m_ant);
 
   // Precoder.
   std::vector<CMat> v(kSc);
-  std::vector<std::vector<std::size_t>> cols(spec.dests.size());
-  {
-    std::size_t next = 0;
-    for (std::size_t d = 0; d < spec.dests.size(); ++d) {
-      for (std::size_t i = 0; i < spec.dests[d].n_streams; ++i) {
-        cols[d].push_back(next++);
-      }
-    }
-  }
   if (!spec.mu_beamforming) {
     assert(spec.dests.size() == 1);
     CMat direct(m_ant, m);
@@ -821,70 +809,33 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
   std::size_t max_syms = 0;
   for (std::size_t d = 0; d < spec.dests.size(); ++d) {
     const auto& dest = spec.dests[d];
-    std::vector<double> sinrs;
-    std::vector<std::vector<double>> stream_sinr(dest.n_streams);
-    for (auto& sv : stream_sinr) sv.reserve(kSc);
-    std::vector<std::vector<phy::StreamRxModel>> stream_models(
-        config.fidelity == Fidelity::kFullPhy ? dest.n_streams : 0);
-    for (auto& sv : stream_models) sv.reserve(kSc);
+    const std::vector<CMat> eff = batched_effective(
+        world, spec.tx_node, dest.rx_node, v, cdouble{amp, 0.0});
+    StreamSinrs sinrs(dest.n_streams,
+                      config.fidelity == Fidelity::kFullPhy);
     for (std::size_t s = 0; s < kSc; ++s) {
-      const CMat eff = cdouble{amp, 0.0} *
-                       (world.channel(spec.tx_node, dest.rx_node, s) * v[s]);
       RxObservation obs;
-      obs.g_true = CMat(eff.rows(), 0);
-      CMat f(eff.rows(), 0);
-      for (std::size_t c = 0; c < eff.cols(); ++c) {
-        const CMat col = eff.block(0, eff.rows(), c, c + 1);
-        if (std::find(cols[d].begin(), cols[d].end(), c) != cols[d].end()) {
-          obs.g_true = obs.g_true.hstack(col);
-        } else {
-          f = f.hstack(col);
-        }
-      }
+      split_columns(eff[s], cols[d], obs.g_true, &obs.interference_true);
       obs.g_est = world.estimate(obs.g_true);
-      obs.interference_true = f;
-      if (f.cols() > 0) {
+      if (obs.interference_true.cols() > 0) {
         obs.unwanted_basis = advertised_unwanted_space(
-            obs.g_est, world.estimate(f), dest.n_streams);
+            obs.g_est, world.estimate(obs.interference_true),
+            dest.n_streams);
       } else {
-        obs.unwanted_basis = CMat(eff.rows(), 0);
+        obs.unwanted_basis = CMat(eff[s].rows(), 0);
       }
       obs.noise_power = world.noise_power();
-      if (stream_models.empty()) {
-        const std::vector<double> sinr = zf_stream_sinr(obs);
-        for (std::size_t j = 0; j < sinr.size() && j < dest.n_streams;
-             ++j) {
-          sinrs.push_back(sinr[j]);
-          stream_sinr[j].push_back(sinr[j]);
-        }
-      } else {
-        std::vector<phy::StreamRxModel> models = zf_stream_rx_models(obs);
-        for (std::size_t j = 0; j < models.size() && j < dest.n_streams;
-             ++j) {
-          sinrs.push_back(models[j].sinr);
-          stream_sinr[j].push_back(models[j].sinr);
-          stream_models[j].push_back(std::move(models[j]));
-        }
-      }
+      sinrs.add(obs);
     }
-    result.degenerate_esnr += sanitize_sinrs(sinrs);
-    for (auto& sv : stream_sinr) sanitize_sinrs(sv);
-    for (auto& mv : stream_models) {
-      for (phy::StreamRxModel& model : mv) {
-        if (!std::isfinite(model.sinr) || !std::isfinite(model.noise_var) ||
-            !std::isfinite(std::norm(model.gain))) {
-          model = phy::StreamRxModel{};
-        }
-      }
-    }
+    result.degenerate_esnr += sinrs.sanitize();
     LinkOutcome& out = result.outcomes[d];
     out.streams = dest.n_streams;
-    const Mcs* mcs = phy::select_mcs_esnr(sinrs, config.rate_margin_db);
+    const Mcs* mcs = phy::select_mcs_esnr(sinrs.all, config.rate_margin_db);
     if (mcs == nullptr) continue;
     out.mcs_index = mcs->index;
     out.offered_bits = static_cast<double>(8 * config.packet_bytes);
     out.esnr_db = util::to_db(
-        std::max(phy::effective_snr(sinrs, mcs->modulation), 1e-30));
+        std::max(phy::effective_snr(sinrs.all, mcs->modulation), 1e-30));
     out.final_esnr_db = out.esnr_db;
     const std::size_t bytes = config.packet_bytes;
     const std::size_t n_syms =
@@ -902,7 +853,7 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
       double p_all = 1.0;
       for (std::size_t j = 0; j < dest.n_streams; ++j) {
         const double esnr_j = util::to_db(std::max(
-            phy::effective_snr(stream_sinr[j], mcs->modulation), 1e-30));
+            phy::effective_snr(sinrs.stream(j), mcs->modulation), 1e-30));
         p_all *= 1.0 - table.per(*mcs, esnr_j, stream_bytes);
       }
       out.per = 1.0 - p_all;
@@ -913,7 +864,7 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
       bool ok = true;
       for (std::size_t j = 0; j < dest.n_streams; ++j) {
         ok = phy::simulate_stream_delivery_mimo(payload_bytes, *mcs,
-                                                stream_models[j], phy_rng) &&
+                                                sinrs.models[j], phy_rng) &&
              ok;
       }
       out.per = ok ? 0.0 : 1.0;

@@ -140,6 +140,13 @@ RoundResult run_nplus_round(const World& world, const Scenario& scenario,
                             const std::vector<std::uint8_t>* active_links =
                                 nullptr);
 
+// Splits up to `budget` streams over destinations round-robin, one stream
+// per destination per pass, destination d taking at most caps[d]: the
+// stream counts, parallel to caps. Shared by n+ joins and the beamforming
+// baseline.
+std::vector<std::size_t> round_robin_streams(
+    std::size_t budget, const std::vector<std::size_t>& caps);
+
 // --- Shared helper for the baselines -----------------------------------
 //
 // Evaluates a transmission that owns the whole medium (no concurrency):

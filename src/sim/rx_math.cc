@@ -45,13 +45,23 @@ CMat advertised_unwanted_space(const CMat& g_est, const CMat& f_est,
   return base.hstack(extra.block(0, extra.rows(), 0, need));
 }
 
-std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs) {
-  const std::size_t n = obs.g_true.cols();
-  std::vector<StreamRxModel> models(n);
+namespace {
 
+// The receiver's combiner and what it makes of the air: the one ZF
+// computation behind zf_stream_sinr and zf_stream_rx_models.
+struct ZfCombined {
+  CMat combiner;  // n x N
+  CMat own;       // n x n: combiner applied to the true wanted channels
+  CMat leak;      // n x j residual interference; empty when j = 0
+};
+
+// False (leaving `out` untouched) when the projected space cannot support
+// the streams: fewer free dimensions than streams, or a singular
+// regularized Gram.
+bool zf_combine(const RxObservation& obs, ZfCombined& out) {
   // Interference-free receive directions.
   const CMat w = linalg::orthogonal_complement(obs.unwanted_basis);
-  if (w.cols() < n) return models;
+  if (w.cols() < obs.g_true.cols()) return false;
 
   // MMSE-regularized inversion of the estimated effective channel inside
   // the projected space: at high SNR this is the paper's zero-forcing; at
@@ -64,75 +74,66 @@ std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs) {
     reg(i, i) += cdouble{obs.noise_power, 0.0};
   }
   const auto reg_inv = linalg::inverse(reg);
-  if (!reg_inv.has_value()) return models;
-  const CMat combiner = (*reg_inv) * a.hermitian() * w.hermitian();  // n x N
+  if (!reg_inv.has_value()) return false;
+  out.combiner = (*reg_inv) * a.hermitian() * w.hermitian();
 
-  const CMat own = combiner * obs.g_true;  // ~identity under perfect est.
-  CMat leak;
+  out.own = out.combiner * obs.g_true;  // ~identity under perfect est.
   if (obs.interference_true.cols() > 0) {
-    leak = combiner * obs.interference_true;  // n x j residual interference
+    out.leak = out.combiner * obs.interference_true;
   }
+  return true;
+}
+
+}  // namespace
+
+std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs) {
+  const std::size_t n = obs.g_true.cols();
+  std::vector<StreamRxModel> models(n);
+  ZfCombined z;
+  if (!zf_combine(obs, z)) return models;
 
   for (std::size_t s = 0; s < n; ++s) {
     StreamRxModel& m = models[s];
-    m.gain = own(s, s);
+    m.gain = z.own(s, s);
     const double sig = std::norm(m.gain);
     double err = 0.0;
     m.self.reserve(n > 0 ? n - 1 : 0);
     for (std::size_t t = 0; t < n; ++t) {
       if (t == s) continue;
-      m.self.push_back(own(s, t));
-      err += std::norm(own(s, t));
+      m.self.push_back(z.own(s, t));
+      err += std::norm(z.own(s, t));
     }
-    m.leak.reserve(leak.cols());
-    for (std::size_t c = 0; c < leak.cols(); ++c) {
-      m.leak.push_back(leak(s, c));
-      err += std::norm(leak(s, c));
+    m.leak.reserve(z.leak.cols());
+    for (std::size_t c = 0; c < z.leak.cols(); ++c) {
+      m.leak.push_back(z.leak(s, c));
+      err += std::norm(z.leak(s, c));
     }
-    m.noise_var = combiner.row(s).norm_sq() * obs.noise_power;
+    m.noise_var = z.combiner.row(s).norm_sq() * obs.noise_power;
     err += m.noise_var;
     m.sinr = err > 0.0 ? sig / err : 1e12;
   }
   return models;
 }
 
-// Kept separate from zf_stream_rx_models on purpose: this summary runs in
-// the packet simulator's hottest loop (every subcarrier of every join
-// attempt), where the models' per-stream gain vectors would be pure
-// allocation churn. The combiner math is identical.
+// The same sums as zf_stream_rx_models, in the same order, without its
+// per-stream vectors: this summary runs in the packet simulator's hottest
+// loop (every subcarrier of every join attempt).
 std::vector<double> zf_stream_sinr(const RxObservation& obs) {
   const std::size_t n = obs.g_true.cols();
   std::vector<double> sinr(n, 0.0);
-
-  const CMat w = linalg::orthogonal_complement(obs.unwanted_basis);
-  if (w.cols() < n) return sinr;
-
-  const CMat a = w.hermitian() * obs.g_est;  // d x n (estimated)
-  const CMat gram = a.hermitian() * a;       // n x n
-  CMat reg = gram;
-  for (std::size_t i = 0; i < reg.rows(); ++i) {
-    reg(i, i) += cdouble{obs.noise_power, 0.0};
-  }
-  const auto reg_inv = linalg::inverse(reg);
-  if (!reg_inv.has_value()) return sinr;
-  const CMat combiner = (*reg_inv) * a.hermitian() * w.hermitian();  // n x N
-
-  const CMat own = combiner * obs.g_true;  // ~identity under perfect est.
-  CMat leak;
-  if (obs.interference_true.cols() > 0) {
-    leak = combiner * obs.interference_true;  // n x j residual interference
-  }
+  ZfCombined z;
+  if (!zf_combine(obs, z)) return sinr;
 
   for (std::size_t s = 0; s < n; ++s) {
-    const double sig = std::norm(own(s, s));
+    const double sig = std::norm(z.own(s, s));
     double err = 0.0;
     for (std::size_t t = 0; t < n; ++t) {
-      if (t != s) err += std::norm(own(s, t));
+      if (t != s) err += std::norm(z.own(s, t));
     }
-    for (std::size_t c = 0; c < leak.cols(); ++c) {
-      err += std::norm(leak(s, c));
+    for (std::size_t c = 0; c < z.leak.cols(); ++c) {
+      err += std::norm(z.leak(s, c));
     }
-    err += combiner.row(s).norm_sq() * obs.noise_power;
+    err += z.combiner.row(s).norm_sq() * obs.noise_power;
     sinr[s] = err > 0.0 ? sig / err : 1e12;
   }
   return sinr;

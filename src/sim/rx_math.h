@@ -43,16 +43,23 @@ struct RxObservation {
   double noise_power = 0.0;
 };
 
-// Post-projection zero-forcing SINR of each wanted stream: the receiver
-// projects onto the complement of `unwanted_basis`, inverts the estimated
-// effective channel, and eats whatever self-distortion, residual
-// interference, and enhanced noise remain.
+// Both functions below run one receiver: it projects onto the complement
+// of `unwanted_basis` and applies an MMSE-regularized zero-forcing
+// combiner built from the estimated effective channel (g_est). The true
+// channels then decide what comes out: the wanted gain, self-distortion
+// from sibling streams, residual interference and enhanced noise. Both
+// return zeros (zero gain, zero SINR) when the projected space has fewer
+// free dimensions than streams or the regularized Gram is singular.
+
+// Post-projection SINR of each wanted stream. The same sums, in the same
+// order, as the models' sinr fields, so the two are bit-equal; this one
+// allocates nothing per stream, because rate selection calls it on every
+// subcarrier of every join attempt.
 std::vector<double> zf_stream_sinr(const RxObservation& obs);
 
 // One phy::StreamRxModel per wanted stream — the post-combining symbol
 // observation model the full-PHY scorer realizes term by term (see
-// phy/link_abstraction.h). Zero gain / zero sinr when the projected space
-// cannot support the streams, mirroring zf_stream_sinr's zeros.
+// phy/link_abstraction.h).
 using phy::StreamRxModel;
 std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs);
 

@@ -194,6 +194,71 @@ TEST(RxMath, OverloadedReceiverGetsZeroSinr) {
   EXPECT_DOUBLE_EQ(sinr[1], 0.0);
 }
 
+// zf_stream_sinr and zf_stream_rx_models share one combiner and sum the
+// same terms in the same order: the SINRs must agree bit for bit.
+TEST(RxMath, StreamSinrMatchesModelSinr) {
+  const auto expect_same = [](const RxObservation& obs) {
+    const std::vector<double> sinr = zf_stream_sinr(obs);
+    const std::vector<StreamRxModel> models = zf_stream_rx_models(obs);
+    ASSERT_EQ(sinr.size(), obs.g_true.cols());
+    ASSERT_EQ(models.size(), sinr.size());
+    for (std::size_t j = 0; j < sinr.size(); ++j) {
+      EXPECT_EQ(sinr[j], models[j].sinr) << j;
+    }
+  };
+  const auto gaussian_matrix = [](std::size_t rows, std::size_t cols,
+                                  util::Rng& rng) {
+    CMat m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.cgaussian();
+    }
+    return m;
+  };
+
+  util::Rng rng(2011);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n_ant = 1 + rng.uniform_int(4);
+    const std::size_t n =
+        1 + rng.uniform_int(static_cast<std::uint32_t>(n_ant));
+    const std::size_t j = rng.uniform_int(4);
+    RxObservation obs;
+    obs.g_true = gaussian_matrix(n_ant, n, rng);
+    obs.g_est = obs.g_true;
+    for (std::size_t r = 0; r < n_ant; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        obs.g_est(r, c) += rng.cgaussian(0.01);
+      }
+    }
+    obs.interference_true = gaussian_matrix(n_ant, j, rng);
+    obs.unwanted_basis =
+        advertised_unwanted_space(obs.g_est, obs.interference_true, n);
+    obs.noise_power = util::from_db(-rng.uniform(0.0, 40.0));
+    SCOPED_TRACE(trial);
+    expect_same(obs);
+  }
+
+  // Fewer free dimensions than streams: both return their zeros.
+  RxObservation crowded;
+  crowded.g_true = gaussian_matrix(2, 2, rng);
+  crowded.g_est = crowded.g_true;
+  crowded.interference_true = CMat(2, 0);
+  crowded.unwanted_basis = CMat(2, 1);
+  crowded.unwanted_basis(0, 0) = 1.0;
+  crowded.noise_power = 1e-3;
+  expect_same(crowded);
+  EXPECT_EQ(zf_stream_sinr(crowded), std::vector<double>(2, 0.0));
+
+  // A singular regularized Gram: an all-zero estimate and no noise.
+  RxObservation singular;
+  singular.g_true = gaussian_matrix(3, 2, rng);
+  singular.g_est = CMat(3, 2);
+  singular.interference_true = gaussian_matrix(3, 1, rng);
+  singular.unwanted_basis = CMat(3, 0);
+  singular.noise_power = 0.0;
+  expect_same(singular);
+  EXPECT_EQ(zf_stream_sinr(singular), std::vector<double>(2, 0.0));
+}
+
 TEST(Scenarios, ThreePairShape) {
   const Scenario sc = three_pair_scenario();
   EXPECT_EQ(sc.nodes.size(), 6u);
